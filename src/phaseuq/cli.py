@@ -44,12 +44,7 @@ from .campaign import (
 from .errors import ConfigError, PhaseUQError
 from .mfmc import enumerate_feasible_subsets, resolve_case
 from .sampling import SampleStream, replicate_stream
-from .solver import (
-    RandomInputs,
-    initial_state,
-    mass_fraction,
-    time_step,
-)
+from .solver import RandomInputs, mass_fraction, run_simulation
 from .grid import cached_stencil
 
 logger = logging.getLogger(__name__)
@@ -214,16 +209,15 @@ def _cmd_simulate(args) -> int:
     every = args.snapshot_every
     times = []
     fractions = []
-    state = initial_state(grid, theta, sim)
-    artifacts.write_field_csv(out / "u_t0000.csv", state.padded)
-    times.append(state.t)
-    fractions.append(mass_fraction(grid, state.padded))
-    for k in range(1, sim.n_steps + 1):
-        state = time_step(state, stencil, sim)
+
+    def record(state) -> None:
+        k = len(times)
         times.append(state.t)
         fractions.append(mass_fraction(grid, state.padded))
-        if (every > 0 and k % every == 0) or k == sim.n_steps:
+        if k in (0, sim.n_steps) or (every > 0 and k % every == 0):
             artifacts.write_field_csv(out / f"u_t{k:04d}.csv", state.padded)
+
+    run_simulation(grid, stencil, theta, sim, on_step=record)
     summary = {
         "model": model.model_id,
         "n_interior": model.n_interior,

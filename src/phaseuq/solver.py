@@ -16,6 +16,15 @@ guesses which nodes sit on the obstacle bounds, solves the resulting linear
 system exchanging unknowns ``u`` (free nodes) and ``lam`` (active nodes), and
 updates the guess from the multiplier sign test until the sets are stable.
 
+The matrix of one sweep takes the columns of ``A`` at free nodes and those of
+``B`` at active nodes.  ``A`` and ``B`` share one sparsity pattern, so it is
+assembled by selecting each column's data from one of them.  It is factorized
+by sparse LU with the minimum-degree ordering of ``M^T + M`` (the matrix is
+structurally symmetric, which keeps the fill about half that of COLAMD).  The
+last factorization is carried to the next call: a step starts from the active
+sets its predecessor converged on, so its first sweep reuses the LU of the
+previous step's last sweep instead of factorizing the same matrix again.
+
 The model output of interest is the mass fraction of the ``+1`` phase,
 ``0.5 * (1 + mean(u))`` over the solution block.
 """
@@ -301,20 +310,50 @@ def _neumann_laplacian_1d(n: int) -> sp.csr_matrix:
 @lru_cache(maxsize=32)
 def _step_matrices(
     n_solution: int, h: float, xi: float, beta1: float, beta2: float, dt: float
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Cached assembly of the operators ``B`` and ``A`` on the solution block."""
+) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+    """Cached assembly of the operators ``A`` and ``B`` on the solution block.
+
+    Both are returned in CSC form with sorted indices on one shared pattern,
+    the union of their nonzeros, so that :func:`_masked_matrix` can pick each
+    column's data from either.
+    """
     t1 = _neumann_laplacian_1d(n_solution)
     eye = sp.identity(n_solution, format="csr")
     lap = (sp.kron(eye, t1) + sp.kron(t1, eye)).tocsr() / h**2
     b_mat = (beta1 * sp.identity(n_solution**2, format="csr") - beta2 * lap).tocsr()
     a_mat = (sp.identity(n_solution**2, format="csr") / dt + xi * b_mat).tocsr()
-    return a_mat, b_mat
+    pattern = abs(a_mat) + abs(b_mat)
+    return _on_pattern(a_mat, pattern), _on_pattern(b_mat, pattern)
 
 
-def _solve_masked(
-    m_mat: sp.csc_matrix, rhs: np.ndarray, scale: float, check_singular: bool
-) -> np.ndarray:
-    """Sparse LU solve with one refinement pass; regularizes singular systems.
+def _on_pattern(mat: sp.spmatrix, pattern: sp.spmatrix) -> sp.csc_matrix:
+    """``mat`` stored on ``pattern``, a superset of its nonzeros; the entries
+    outside ``mat``'s own pattern are explicit zeros."""
+    mat, pattern = mat.tocoo(), pattern.tocoo()
+    data = np.concatenate([mat.data, np.zeros(pattern.nnz)])
+    rows = np.concatenate([mat.row, pattern.row])
+    cols = np.concatenate([mat.col, pattern.col])
+    # Duplicates are summed (v + 0.0 == v) and explicit zeros kept.
+    return sp.csc_matrix((data, (rows, cols)), shape=mat.shape)
+
+
+def _masked_matrix(
+    a_mat: sp.csc_matrix, b_mat: sp.csc_matrix, free: np.ndarray
+) -> sp.csc_matrix:
+    """The matrix of one sweep: the columns of ``A`` at free nodes and of ``B``
+    at active ones, selected on the operators' shared pattern."""
+    data = np.where(np.repeat(free, np.diff(a_mat.indptr)), a_mat.data, b_mat.data)
+    return sp.csc_matrix((data, a_mat.indices, a_mat.indptr), shape=a_mat.shape)
+
+
+#: Fill-reducing ordering of the sparse LU: minimum degree on ``M^T + M``.
+_ORDERING = "MMD_AT_PLUS_A"
+
+
+def _factorize(
+    m_mat: sp.csc_matrix, scale: float, check_singular: bool
+) -> spla.SuperLU:
+    """Sparse LU of a sweep's matrix; regularizes singular systems.
 
     The factorization of an exactly singular matrix may silently produce a
     tiny pivot instead of failing, so in regimes where singularity can occur
@@ -322,17 +361,33 @@ def _solve_masked(
     explicitly and the system is shifted by a tiny multiple of the identity.
     """
     try:
-        lu = spla.splu(m_mat)
+        lu = spla.splu(m_mat, permc_spec=_ORDERING)
         if check_singular:
             pivots = np.abs(lu.U.diagonal())
             if pivots.min() <= 1e-12 * max(pivots.max(), 1.0):
                 raise RuntimeError("numerically singular factorization")
     except RuntimeError:
         reg = m_mat + 1e-10 * scale * sp.identity(m_mat.shape[0], format="csc")
-        lu = spla.splu(reg.tocsc())
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - m_mat @ x)
-    return x
+        lu = spla.splu(reg.tocsc(), permc_spec=_ORDERING)
+    return lu
+
+
+class _Factorization(NamedTuple):
+    """A sweep's matrix and its LU, with the operators and active set it was
+    built from."""
+
+    operators: tuple[sp.csc_matrix, sp.csc_matrix]
+    active: np.ndarray
+    m_mat: sp.csc_matrix
+    lu: spla.SuperLU
+
+
+#: The last factorization made by :func:`time_step`, reused by a sweep with the
+#: same operators and active set (the first sweep of each step starts from the
+#: sets the previous step converged on).  One entry only: callers keep many
+#: states, and an n=128 factorization is about 8 MB.  The entry is replaced
+#: whole and read once per sweep, so a stale read only costs a factorization.
+_last_factorization: _Factorization | None = None
 
 
 def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> StepState:
@@ -344,12 +399,14 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
         If the active sets do not stabilize within ``sim.max_sweeps`` sweeps or
         the converged linear residual exceeds ``sim.solver_tol``.
     """
+    global _last_factorization
     grid = state.grid
     if stencil.grid != grid:
         raise ConfigError("stencil was built for a different grid")
-    a_mat, b_mat = _step_matrices(
+    operators = _step_matrices(
         grid.n_solution, grid.h, stencil.xi, sim.beta1, sim.beta2, sim.dt
     )
+    a_mat, b_mat = operators
     sol = grid.solution_slice
     g = convolve(stencil, state.padded).ravel()
     u_prev = state.padded[sol, sol].ravel()
@@ -366,11 +423,20 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
         active = active_pos | active_neg
         free = ~active
         pinned = np.where(active_pos, 1.0, 0.0) - np.where(active_neg, 1.0, 0.0)
-        m_mat = (
-            a_mat.multiply(free[None, :]) + b_mat.multiply(active[None, :])
-        ).tocsc()
+        last = _last_factorization
+        if (
+            last is not None
+            and last.operators is operators
+            and np.array_equal(last.active, active)
+        ):
+            m_mat, lu = last.m_mat, last.lu
+        else:
+            m_mat = _masked_matrix(a_mat, b_mat, free)
+            lu = _factorize(m_mat, scale, sim.beta1 == 0.0 or not free.any())
+            _last_factorization = _Factorization(operators, active, m_mat, lu)
         rhs = rhs0 - a_mat @ pinned
-        x = _solve_masked(m_mat, rhs, scale, sim.beta1 == 0.0 or not free.any())
+        x = lu.solve(rhs)
+        x += lu.solve(rhs - m_mat @ x)
         u = pinned + np.where(free, x, 0.0)
         lam = np.where(active, x, 0.0)
         c = sim.active_set_c

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.ndimage import label
 
 from oracles import dense_operators, enumerate_obstacle_step, naive_convolution
@@ -17,6 +21,7 @@ from phaseuq import (
     build_grid,
     build_stencil,
     convolve,
+    desk_config,
     evaluate_model,
     initial_condition,
     initial_state,
@@ -24,6 +29,8 @@ from phaseuq import (
     run_simulation,
     time_step,
 )
+from phaseuq import solver
+from phaseuq.grid import cached_stencil
 from phaseuq.solver import StepState
 
 FAMILY = KernelParams(eps2=0.00178, delta_hf=0.25, delta=0.25, c_f=1.0)
@@ -360,3 +367,122 @@ class TestRunAndEvaluate:
         state.active_neg[:] = False
         with pytest.raises(ConvergenceError):
             time_step(state, st, sim)
+
+
+def desk_operators(model_id: int, **sim_changes):
+    """The desk model's stencil, step settings and cached ``(A, B)``."""
+    config = desk_config()
+    model = config.model(model_id)
+    family = config.kernel_for(model)
+    st = cached_stencil(model.n_interior, family.eps2, family.delta_hf, model.delta, family.c_f)
+    sim = replace(config.sim, **sim_changes)
+    grid = st.grid
+    operators = solver._step_matrices(
+        grid.n_solution, grid.h, st.xi, sim.beta1, sim.beta2, sim.dt
+    )
+    return st, sim, operators
+
+
+class CountingSparseLinalg:
+    """Stands in for the solver's ``spla`` and records each matrix it factorizes."""
+
+    def __init__(self, module):
+        self._module = module
+        self.matrices = []
+
+    def splu(self, matrix, **kwargs):
+        self.matrices.append(matrix.copy())
+        return self._module.splu(matrix, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+class TestFactorizationReuse:
+    def run(self, monkeypatch, clear_every_step: bool):
+        st, sim, _ = desk_operators(9)
+        counter = CountingSparseLinalg(solver.spla)
+        monkeypatch.setattr(solver, "spla", counter)
+        monkeypatch.setattr(solver, "_last_factorization", None)
+        states, factorizations = [], []
+
+        def record(state):
+            states.append(state)
+            factorizations.append(len(counter.matrices))
+            if clear_every_step:
+                solver._last_factorization = None
+
+        run_simulation(st.grid, st, ASYM_THETA, sim, on_step=record)
+        per_step = np.diff(factorizations)
+        return states, per_step, counter.matrices
+
+    def test_step_boundary_reuses_the_last_factorization(self, monkeypatch):
+        states, per_step, matrices = self.run(monkeypatch, clear_every_step=False)
+        sweeps = np.array([s.sweeps for s in states[1:]])
+        assert len(sweeps) == 10 and sweeps.sum() > len(sweeps)
+        assert per_step[0] == sweeps[0]
+        np.testing.assert_array_equal(per_step[1:], sweeps[1:] - 1)
+        for first, second in zip(matrices, matrices[1:]):
+            assert not (
+                np.array_equal(first.indptr, second.indptr)
+                and np.array_equal(first.indices, second.indices)
+                and np.array_equal(first.data, second.data)
+            )
+
+    def test_trajectory_unchanged_without_reuse(self, monkeypatch):
+        reused, _, _ = self.run(monkeypatch, clear_every_step=False)
+        fresh, per_step, _ = self.run(monkeypatch, clear_every_step=True)
+        np.testing.assert_array_equal(per_step, [s.sweeps for s in fresh[1:]])
+        assert len(reused) == len(fresh)
+        for a, b in zip(reused, fresh):
+            np.testing.assert_array_equal(a.padded, b.padded)
+            np.testing.assert_array_equal(a.multiplier, b.multiplier)
+            np.testing.assert_array_equal(a.chemical_potential, b.chemical_potential)
+            assert a.sweeps == b.sweeps and a.residual == b.residual
+
+
+OPERATOR_CASES = {
+    "desk": desk_operators(9)[2],
+    "desk-n32": desk_operators(1)[2],
+    "beta2=0": desk_operators(9, beta2=0.0)[2],
+    "beta1=0": desk_operators(9, beta1=0.0)[2],
+}
+
+
+class TestMaskedAssembly:
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+    def test_operators_share_a_sorted_pattern(self, case):
+        a_mat, b_mat = OPERATOR_CASES[case]
+        assert a_mat.format == b_mat.format == "csc"
+        assert a_mat.has_sorted_indices and b_mat.has_sorted_indices
+        np.testing.assert_array_equal(a_mat.indptr, b_mat.indptr)
+        np.testing.assert_array_equal(a_mat.indices, b_mat.indices)
+        assert np.all(a_mat.data != 0.0) and np.all(b_mat.data != 0.0)
+
+    def test_degenerate_operators_are_padded_to_a_shared_pattern(self):
+        # With xi = 0, A = I / dt has no off-diagonal nonzeros; it is stored
+        # on B's 5-point pattern with explicit zeros.
+        a_mat, b_mat = solver._step_matrices(9, 1.0 / 8, 0.0, 1.0, 0.05, 0.01)
+        np.testing.assert_array_equal(a_mat.indptr, b_mat.indptr)
+        np.testing.assert_array_equal(a_mat.indices, b_mat.indices)
+        np.testing.assert_array_equal(a_mat.toarray(), np.eye(81) / 0.01)
+        free = np.random.default_rng(5).random(81) < 0.5
+        summed = a_mat.multiply(free[None, :]) + b_mat.multiply(~free[None, :])
+        np.testing.assert_array_equal(
+            solver._masked_matrix(a_mat, b_mat, free).toarray(), summed.toarray()
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=hst.sampled_from(sorted(OPERATOR_CASES)),
+        seed=hst.integers(0, 2**32 - 1),
+        free_fraction=hst.floats(0.0, 1.0),
+    )
+    def test_selection_matches_masked_products(self, case, seed, free_fraction):
+        a_mat, b_mat = OPERATOR_CASES[case]
+        free = np.random.default_rng(seed).random(a_mat.shape[1]) < free_fraction
+        selected = solver._masked_matrix(a_mat, b_mat, free)
+        summed = (a_mat.multiply(free[None, :]) + b_mat.multiply(~free[None, :])).tocsc()
+        np.testing.assert_array_equal(selected.indptr, summed.indptr)
+        np.testing.assert_array_equal(selected.indices, summed.indices)
+        np.testing.assert_array_equal(selected.data, summed.data)
