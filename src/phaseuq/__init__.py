@@ -13,144 +13,22 @@ The package has two halves:
   replicated error studies against a high-fidelity reference.
 """
 
-from .campaign import (
-    CampaignConfig,
-    EvalEngine,
-    desk_config,
-    reference_config,
-    run_estimate,
-    run_mse_study,
-    run_pilot,
-    run_validation,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateStatisticsError,
-    DegenerateStencilError,
-    InfeasibleSubsetError,
-    InsufficientBudgetError,
-    PhaseUQError,
-)
-from .grid import (
-    ConvolutionStencil,
-    Grid,
-    KernelParams,
-    apply_nonlocal_operator,
-    build_grid,
-    build_stencil,
-    convolve,
-    kernel_value,
-)
-from .mfmc import (
-    AllocationPlan,
-    EstimationResult,
-    ModelStats,
-    SubsetCandidate,
-    allocate,
-    allocate_below_minimum,
-    empirical_mse,
-    enumerate_feasible_subsets,
-    estimator_variance,
-    is_feasible,
-    mc_estimate,
-    mc_theoretical_mse,
-    mfmc_estimate,
-    minimum_budget,
-    order_models,
-    order_subset,
-    pilot_statistics,
-    resolve_case,
-    sample_ratios,
-    theoretical_mse,
-    variance_reduction_ratio,
-)
-from .sampling import SampleStream, pilot_stream, replicate_stream, validation_stream
-from .solver import (
-    DEPTH_RANGE,
-    NUCLEUS_CENTERS,
-    SHIFT_RANGE,
-    ModelSpec,
-    RandomInputs,
-    SimParams,
-    StepState,
-    evaluate_model,
-    initial_condition,
-    initial_state,
-    mass_fraction,
-    run_simulation,
-    time_step,
-)
+from . import campaign, errors, grid, mfmc, sampling, solver
+from .campaign import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .grid import *  # noqa: F401,F403
+from .mfmc import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "PhaseUQError",
-    "ConfigError",
-    "DegenerateStencilError",
-    "DegenerateStatisticsError",
-    "InfeasibleSubsetError",
-    "InsufficientBudgetError",
-    "ConvergenceError",
-    # grid
-    "Grid",
-    "KernelParams",
-    "ConvolutionStencil",
-    "build_grid",
-    "kernel_value",
-    "build_stencil",
-    "convolve",
-    "apply_nonlocal_operator",
-    # solver
-    "NUCLEUS_CENTERS",
-    "DEPTH_RANGE",
-    "SHIFT_RANGE",
-    "ModelSpec",
-    "SimParams",
-    "RandomInputs",
-    "StepState",
-    "initial_condition",
-    "initial_state",
-    "time_step",
-    "run_simulation",
-    "mass_fraction",
-    "evaluate_model",
-    # mfmc
-    "ModelStats",
-    "SubsetCandidate",
-    "AllocationPlan",
-    "EstimationResult",
-    "pilot_statistics",
-    "order_models",
-    "order_subset",
-    "is_feasible",
-    "variance_reduction_ratio",
-    "minimum_budget",
-    "enumerate_feasible_subsets",
-    "resolve_case",
-    "sample_ratios",
-    "allocate",
-    "allocate_below_minimum",
-    "estimator_variance",
-    "theoretical_mse",
-    "mc_theoretical_mse",
-    "mfmc_estimate",
-    "mc_estimate",
-    "empirical_mse",
-    # sampling
-    "SampleStream",
-    "pilot_stream",
-    "replicate_stream",
-    "validation_stream",
-    # campaign
-    "CampaignConfig",
-    "EvalEngine",
-    "desk_config",
-    "reference_config",
-    "run_pilot",
-    "run_validation",
-    "run_estimate",
-    "run_mse_study",
+    *errors.__all__,
+    *grid.__all__,
+    *solver.__all__,
+    *mfmc.__all__,
+    *sampling.__all__,
+    *campaign.__all__,
 ]

@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .mfmc import (
     estimator_variance,
     empirical_mse,
     mc_estimate,
-    mc_theoretical_mse,
     mfmc_estimate,
     pilot_statistics,
     resolve_case,
@@ -65,6 +64,60 @@ HF_MODEL_ID = 1
 
 _CONFIG_VERSION = 1
 
+#: Where the JSON form of a config departs from ``field name: value``: model
+#: entries use short keys, and ``KernelParams.delta`` is not written but read
+#: back as ``delta_hf``, because a campaign's family kernel is untruncated.
+_JSON_KEYS = {(ModelSpec, "model_id"): "id", (ModelSpec, "n_interior"): "n"}
+_JSON_COPIES = {(KernelParams, "delta"): "delta_hf"}
+
+
+def _json_fields(cls) -> list:
+    """The written fields of a config dataclass, with their JSON keys."""
+    return [
+        (f, _JSON_KEYS.get((cls, f.name), f.name))
+        for f in fields(cls)
+        if (cls, f.name) not in _JSON_COPIES
+    ]
+
+
+def _encode(value):
+    if is_dataclass(value):
+        return {key: _encode(getattr(value, f.name)) for f, key in _json_fields(type(value))}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(hint, value, where: str):
+    """A JSON value as an instance of the annotated type ``hint``: a config
+    dataclass, a ``tuple[X, ...]``, or ``int``, ``float`` or ``str``."""
+    if is_dataclass(hint):
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+        written = _json_fields(hint)
+        unknown = set(value) - {key for _, key in written}
+        if unknown:
+            raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        hints = get_type_hints(hint)
+        kwargs = {}
+        for f, key in written:
+            if key in value:
+                kwargs[f.name] = _decode(hints[f.name], value[key], key)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing key {key!r} in {where}")
+        for (owner, name), source in _JSON_COPIES.items():
+            if owner is hint:
+                kwargs[name] = kwargs.get(source, getattr(hint, source))
+        return hint(**kwargs)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
+        return tuple(_decode(get_args(hint)[0], item, where) for item in value)
+    try:
+        return hint(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}") from None
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -78,8 +131,9 @@ class CampaignConfig:
         Model family; must contain ``model_id == 1`` (high-fidelity) and
         unique ids.
     kernel:
-        Family kernel parameters; ``kernel.delta`` is the family interaction
-        radius, each model may truncate at its own ``delta``.
+        Family kernel parameters.  The family kernel is untruncated
+        (``kernel.delta == kernel.delta_hf``); :meth:`kernel_for` truncates
+        it at each model's own ``delta``.
     sim:
         Time stepping controls shared by all models.
     pilot_samples:
@@ -118,6 +172,11 @@ class CampaignConfig:
             raise ConfigError(
                 f"campaign needs a high-fidelity model with id {HF_MODEL_ID}"
             )
+        if self.kernel.delta != self.kernel.delta_hf:
+            raise ConfigError(
+                f"the family kernel must be untruncated (delta == delta_hf), got "
+                f"delta={self.kernel.delta} with delta_hf={self.kernel.delta_hf}"
+            )
         if self.pilot_samples < 2:
             raise ConfigError(f"pilot_samples must be >= 2, got {self.pilot_samples}")
         if self.replicates < 1:
@@ -142,132 +201,16 @@ class CampaignConfig:
         return replace(self.kernel, delta=model.delta)
 
     def to_dict(self) -> dict:
-        return {
-            "version": _CONFIG_VERSION,
-            "master_seed": self.master_seed,
-            "models": [
-                {
-                    "id": m.model_id,
-                    "n": m.n_interior,
-                    "delta": m.delta,
-                    "label": m.label,
-                }
-                for m in self.models
-            ],
-            "kernel": {
-                "eps2": self.kernel.eps2,
-                "delta_hf": self.kernel.delta_hf,
-                "c_f": self.kernel.c_f,
-            },
-            "sim": {
-                "beta1": self.sim.beta1,
-                "beta2": self.sim.beta2,
-                "dt": self.sim.dt,
-                "t_final": self.sim.t_final,
-                "solver_tol": self.sim.solver_tol,
-                "max_sweeps": self.sim.max_sweeps,
-                "active_set_c": self.sim.active_set_c,
-                "interaction_fill": self.sim.interaction_fill,
-            },
-            "pilot_samples": self.pilot_samples,
-            "replicates": self.replicates,
-            "budgets": list(self.budgets),
-            "cases": list(self.cases),
-            "validation_samples": self.validation_samples,
-            "workers": self.workers,
-        }
+        return {"version": _CONFIG_VERSION, **_encode(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CampaignConfig":
-        if not isinstance(data, Mapping):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        known_top = {
-            "version",
-            "master_seed",
-            "models",
-            "kernel",
-            "sim",
-            "pilot_samples",
-            "replicates",
-            "budgets",
-            "cases",
-            "validation_samples",
-            "workers",
-        }
-        unknown = set(data) - known_top
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        version = data.get("version", _CONFIG_VERSION)
-        if version != _CONFIG_VERSION:
-            raise ConfigError(f"unsupported config version {version}")
-        if "models" not in data:
-            raise ConfigError("config is missing the 'models' list")
-        models = []
-        for entry in data["models"]:
-            unknown = set(entry) - {"id", "n", "delta", "label"}
-            if unknown:
-                raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-            try:
-                models.append(
-                    ModelSpec(
-                        model_id=int(entry["id"]),
-                        n_interior=int(entry["n"]),
-                        delta=float(entry["delta"]),
-                        label=str(entry.get("label", "")),
-                    )
-                )
-            except KeyError as exc:
-                raise ConfigError(f"model entry is missing key {exc}") from None
-        kernel_data = dict(data.get("kernel", {}))
-        unknown = set(kernel_data) - {"eps2", "delta_hf", "c_f"}
-        if unknown:
-            raise ConfigError(f"unknown kernel keys: {sorted(unknown)}")
-        delta_hf = float(kernel_data.get("delta_hf", KernelParams.delta_hf))
-        kernel = KernelParams(
-            eps2=float(kernel_data.get("eps2", KernelParams.eps2)),
-            delta_hf=delta_hf,
-            delta=delta_hf,
-            c_f=float(kernel_data.get("c_f", KernelParams.c_f)),
-        )
-        sim_data = dict(data.get("sim", {}))
-        known_sim = {
-            "beta1",
-            "beta2",
-            "dt",
-            "t_final",
-            "solver_tol",
-            "max_sweeps",
-            "active_set_c",
-            "interaction_fill",
-        }
-        unknown = set(sim_data) - known_sim
-        if unknown:
-            raise ConfigError(f"unknown sim keys: {sorted(unknown)}")
-        defaults = SimParams()
-        sim = SimParams(
-            beta1=float(sim_data.get("beta1", defaults.beta1)),
-            beta2=float(sim_data.get("beta2", defaults.beta2)),
-            dt=float(sim_data.get("dt", defaults.dt)),
-            t_final=float(sim_data.get("t_final", defaults.t_final)),
-            solver_tol=float(sim_data.get("solver_tol", defaults.solver_tol)),
-            max_sweeps=int(sim_data.get("max_sweeps", defaults.max_sweeps)),
-            active_set_c=float(sim_data.get("active_set_c", defaults.active_set_c)),
-            interaction_fill=str(
-                sim_data.get("interaction_fill", defaults.interaction_fill)
-            ),
-        )
-        return cls(
-            master_seed=int(data.get("master_seed", 2026)),
-            models=tuple(models),
-            kernel=kernel,
-            sim=sim,
-            pilot_samples=int(data.get("pilot_samples", 50)),
-            replicates=int(data.get("replicates", 10)),
-            budgets=tuple(float(b) for b in data.get("budgets", [])),
-            cases=tuple(str(c) for c in data.get("cases", ("min-V", "min-budget"))),
-            validation_samples=int(data.get("validation_samples", 1000)),
-            workers=int(data.get("workers", 1)),
-        )
+        if isinstance(data, Mapping):
+            data = dict(data)
+            version = data.pop("version", _CONFIG_VERSION)
+            if version != _CONFIG_VERSION:
+                raise ConfigError(f"unsupported config version {version}")
+        return _decode(cls, data, "config")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -479,8 +422,13 @@ def build_plan(
     budget: float,
     allow_below_minimum: bool = True,
 ) -> AllocationPlan:
-    """Allocate a budget over a chosen subset, dispatching on the regime."""
-    if budget >= candidate.b_min:
+    """Allocate a budget over a chosen subset, dispatching on the regime.
+
+    A one-model subset (plain Monte Carlo) has no below-minimum regime: its
+    staircase is its minimum budget, so it always takes the optimal
+    allocation, which buys ``floor(budget / c1)`` samples or raises.
+    """
+    if budget >= candidate.b_min or len(candidate.model_ids) == 1:
         return allocate(stats, candidate.model_ids, budget)
     if not allow_below_minimum:
         raise InsufficientBudgetError(
@@ -508,9 +456,10 @@ def run_mse_study(
     """Replicated estimator error study over all configured cases and budgets.
 
     For every case (plus a plain high-fidelity Monte Carlo baseline labelled
-    ``"mc"``) and every budget, builds the allocation, runs the configured
-    number of replicate estimates on independent streams, and scores their
-    empirical mean-squared error against the reference value.
+    ``"mc"``, which is the one-model subset ``ids:1``) and every budget, builds
+    the allocation, runs the configured number of replicate estimates on
+    independent streams, and scores their empirical mean-squared error against
+    the reference value.
     """
     config = engine.config
     if not config.budgets:
@@ -519,6 +468,7 @@ def run_mse_study(
         raise ConfigError("the study needs at least 2 replicates")
     rows: list[StudyRow] = []
     resolved = [(case, resolve_case(stats, case)) for case in config.cases]
+    resolved.append(("mc", resolve_case(stats, f"ids:{HF_MODEL_ID}")))
     for case, candidate in resolved:
         for budget in config.budgets:
             plan = build_plan(stats, candidate, budget)
@@ -550,33 +500,4 @@ def run_mse_study(
                     mean_realized_cost=float(np.mean(costs)),
                 )
             )
-    hf = HF_MODEL_ID
-    for budget in config.budgets:
-        n = int(budget / stats.c1 + 1e-9)
-        if n < 1:
-            raise InsufficientBudgetError(
-                f"budget {budget:.6g} s buys no high-fidelity sample "
-                f"(cost {stats.c1:.6g} s)"
-            )
-        estimates = []
-        costs = []
-        for rep in range(config.replicates):
-            tag = replicate_stream(config.master_seed, rep).tag
-            values, secs = engine.evaluate(hf, tag, n)
-            estimates.append(mc_estimate(values))
-            costs.append(float(secs.sum()))
-        rows.append(
-            StudyRow(
-                case="mc",
-                model_ids=(hf,),
-                budget=float(budget),
-                samples=(n,),
-                below_minimum=False,
-                estimates=tuple(estimates),
-                empirical_mse=empirical_mse(estimates, reference),
-                theoretical_mse=mc_theoretical_mse(stats, budget),
-                plan_mse=stats.sigma1**2 / n,
-                mean_realized_cost=float(np.mean(costs)),
-            )
-        )
     return StudyResult(rows=tuple(rows), reference=reference)

@@ -22,6 +22,7 @@ or insufficient budget, 4 solver convergence failure.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from dataclasses import replace
@@ -179,9 +180,9 @@ def _cmd_mse_study(args) -> int:
 
 def _load_theta(args, config: CampaignConfig) -> RandomInputs:
     if args.theta_file is not None:
-        import json
-
-        data = json.loads(Path(args.theta_file).read_text())
+        data = artifacts._load_json(Path(args.theta_file))
+        if not isinstance(data, dict):
+            raise ConfigError(f"theta file must hold a JSON object, got {type(data).__name__}")
         unknown = set(data) - {"mu", "eta"}
         if unknown:
             raise ConfigError(f"unknown theta keys: {sorted(unknown)}")
@@ -192,6 +193,8 @@ def _load_theta(args, config: CampaignConfig) -> RandomInputs:
             )
         except KeyError as exc:
             raise ConfigError(f"theta file is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"theta file values must be numbers: {exc}") from None
     return SampleStream(config.master_seed, args.stream).theta(args.theta_index)
 
 
@@ -227,8 +230,6 @@ def _cmd_simulate(args) -> int:
         "times": times,
         "mass_fraction": fractions,
     }
-    import json
-
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"model {model.model_id}: mass fraction {fractions[-1]!r} at t={times[-1]:g}")
     print(f"wrote {out}")

@@ -10,6 +10,16 @@ and carries an ``exit_code`` used by the command-line interface:
 
 from __future__ import annotations
 
+__all__ = [
+    "PhaseUQError",
+    "ConfigError",
+    "DegenerateStencilError",
+    "DegenerateStatisticsError",
+    "InfeasibleSubsetError",
+    "InsufficientBudgetError",
+    "ConvergenceError",
+]
+
 
 class PhaseUQError(Exception):
     """Base class for all package errors."""

@@ -49,7 +49,6 @@ __all__ = [
     "allocate_below_minimum",
     "estimator_variance",
     "theoretical_mse",
-    "mc_theoretical_mse",
     "mfmc_estimate",
     "mc_estimate",
     "empirical_mse",
@@ -586,13 +585,6 @@ def theoretical_mse(stats: ModelStats, model_ids: Sequence[int], budget: float) 
         raise ConfigError(f"budget must be positive, got {budget}")
     v = variance_reduction_ratio(stats, model_ids)
     return stats.sigma1**2 * v * stats.c1 / budget
-
-
-def mc_theoretical_mse(stats: ModelStats, budget: float) -> float:
-    """Mean-squared error of plain high-fidelity Monte Carlo at this budget."""
-    if budget <= 0.0:
-        raise ConfigError(f"budget must be positive, got {budget}")
-    return stats.sigma1**2 * stats.c1 / budget
 
 
 def mfmc_estimate(

@@ -45,6 +45,8 @@ from .grid import ConvolutionStencil, Grid, KernelParams, cached_stencil, convol
 
 __all__ = [
     "NUCLEUS_CENTERS",
+    "DEPTH_RANGE",
+    "SHIFT_RANGE",
     "ModelSpec",
     "SimParams",
     "RandomInputs",

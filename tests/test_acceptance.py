@@ -299,6 +299,7 @@ def test_criterion_6_single_step_enumeration_oracle():
             np.testing.assert_allclose(stepped.multiplier, lam_ref, atol=1e-7)
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_mse_study():
     with report(
         "criterion 7 - desk-scale nine-model study, 4 geometric budgets x 10 "

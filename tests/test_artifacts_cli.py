@@ -7,15 +7,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from phaseuq import (
     CampaignConfig,
     ConfigError,
     EvalEngine,
+    KernelParams,
+    ModelSpec,
     ModelStats,
+    SimParams,
     allocate,
     desk_config,
     enumerate_feasible_subsets,
+    mc_estimate,
+    reference_config,
+    replicate_stream,
+    run_mse_study,
 )
 from phaseuq.artifacts import (
     parse_subset_label,
@@ -173,10 +182,79 @@ class TestRunId:
         assert a != run_id("pilot", other)
 
 
+def positive(high=10.0):
+    return hst.floats(1e-6, high)
+
+
+@hst.composite
+def campaign_configs(draw):
+    """Valid configs over every field, models in any order."""
+    surrogate_ids = draw(hst.lists(hst.integers(2, 99), unique=True, max_size=4))
+    models = [
+        ModelSpec(
+            model_id=i,
+            n_interior=draw(hst.integers(1, 256)),
+            delta=draw(positive(1.0)),
+            label=draw(hst.text(max_size=6)),
+        )
+        for i in (1, *surrogate_ids)
+    ]
+    delta_hf = draw(positive(1.0))
+    dt = draw(positive(1.0))
+    return CampaignConfig(
+        master_seed=draw(hst.integers(0, 2**64)),
+        models=tuple(draw(hst.permutations(models))),
+        kernel=KernelParams(
+            eps2=draw(positive()), delta_hf=delta_hf, delta=delta_hf, c_f=draw(positive())
+        ),
+        sim=SimParams(
+            beta1=draw(hst.floats(0.1, 10.0)),
+            beta2=draw(hst.floats(0.0, 10.0)),
+            dt=dt,
+            t_final=draw(hst.integers(0, 200)) * dt,
+            solver_tol=draw(positive(1.0)),
+            max_sweeps=draw(hst.integers(1, 1000)),
+            active_set_c=draw(positive()),
+            interaction_fill=draw(hst.sampled_from(("initial", "plus-one"))),
+        ),
+        pilot_samples=draw(hst.integers(2, 10**5)),
+        replicates=draw(hst.integers(1, 10**3)),
+        budgets=tuple(draw(hst.lists(positive(1e6), max_size=5))),
+        cases=tuple(draw(hst.lists(hst.text(max_size=12), max_size=4))),
+        validation_samples=draw(hst.integers(1, 10**6)),
+        workers=draw(hst.integers(1, 64)),
+    )
+
+
 class TestConfigJson:
     def test_round_trip(self, micro_config):
         for config in (micro_config, desk_config()):
             assert CampaignConfig.from_json(config.to_json()) == config
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=campaign_configs())
+    def test_round_trip_generated(self, config):
+        text = config.to_json()
+        back = CampaignConfig.from_json(text)
+        assert back == config
+        assert back.to_json() == text
+
+    def test_run_ids_pinned(self, micro_config):
+        # run directories are named by a hash of the config JSON, so its
+        # bytes may change only with a deliberate config version bump
+        assert run_id("pilot", desk_config()) == "pilot-74bd498804a2"
+        assert run_id("pilot", reference_config()) == "pilot-72b80d1ff462"
+        assert run_id("pilot", micro_config) == "pilot-1f679cbeea38"
+
+    def test_family_kernel_untruncated(self, micro_config):
+        # kernel.delta is not written to JSON, so a truncated family kernel
+        # could not survive its own round trip
+        with pytest.raises(ConfigError):
+            replace(micro_config, kernel=KernelParams(delta=0.125, delta_hf=0.25))
+        data = json.loads(micro_config.to_json())
+        data["kernel"]["delta"] = 0.25
+        with pytest.raises(ConfigError):
+            CampaignConfig.from_dict(data)
 
     def test_errors(self, micro_config):
         base = micro_config.to_dict()
@@ -218,6 +296,29 @@ class TestConfigJson:
             replace(micro_config, budgets=(1.0, -2.0))
         with pytest.raises(ConfigError):
             replace(micro_config, workers=0)
+
+
+class TestMseStudy:
+    def test_mc_rows_are_one_model_plans(self, micro_config):
+        stats = ModelStats(
+            ids=(1, 2, 3),
+            rho=np.array([1.0, 0.99, 0.9]),
+            cost=np.array([0.3, 0.05, 0.01]),
+            sigma=np.array([0.02, 0.019, 0.018]),
+        )
+        with EvalEngine(micro_config) as engine:
+            study = run_mse_study(engine, stats, reference=0.5)
+            assert [row.case for row in study.rows] == ["min-V", "min-V", "mc", "mc"]
+            for row in study.rows[2:]:
+                n = int(row.budget / stats.c1 + 1e-9)
+                assert row.model_ids == (1,)
+                assert row.samples == (n,)
+                assert not row.below_minimum
+                assert row.theoretical_mse == stats.sigma1**2 * stats.c1 / row.budget
+                assert row.plan_mse == stats.sigma1**2 / n
+                for rep, estimate in enumerate(row.estimates):
+                    tag = replicate_stream(micro_config.master_seed, rep).tag
+                    assert estimate == mc_estimate(engine.evaluate(1, tag, n)[0])
 
 
 class TestEvalEngine:
@@ -408,6 +509,20 @@ class TestCliExitCodes:
             main(["subsets", "--stats", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
             == 2
         )
+
+    def test_bad_theta_file_exits_2(self, tmp_path, micro_config, capsys):
+        cfg = tmp_path / "micro.json"
+        cfg.write_text(micro_config.to_json())
+        not_json = tmp_path / "theta.txt"
+        not_json.write_text("mu = 0.95")
+        not_object = tmp_path / "theta.json"
+        not_object.write_text("[0.95, 0.95, 0.95, 0.95]")
+        not_numbers = tmp_path / "words.json"
+        not_numbers.write_text('{"mu": "deep", "eta": "shifted"}')
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path), "--model", "3"]
+        for path in (tmp_path / "absent.json", not_json, not_object, not_numbers):
+            assert main(argv + ["--theta-file", str(path)]) == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_bad_budget_list_exits_2(self, tmp_path, micro_config):
         cfg = tmp_path / "micro.json"

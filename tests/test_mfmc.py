@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from phaseuq import (
     AllocationPlan,
@@ -19,7 +21,6 @@ from phaseuq import (
     estimator_variance,
     is_feasible,
     mc_estimate,
-    mc_theoretical_mse,
     mfmc_estimate,
     minimum_budget,
     order_models,
@@ -30,6 +31,7 @@ from phaseuq import (
     theoretical_mse,
     variance_reduction_ratio,
 )
+from phaseuq.campaign import build_plan
 
 
 def make_stats(rho, cost, sigma, ids=None):
@@ -341,7 +343,8 @@ class TestErrorMeasures:
         assert theoretical_mse(table_stats, (1, 9), 1e4) == pytest.approx(
             4.7023025796701e-10, rel=1e-6
         )
-        assert mc_theoretical_mse(table_stats, 1e4) == pytest.approx(
+        # plain Monte Carlo is the one-model subset
+        assert theoretical_mse(table_stats, (1,), 1e4) == pytest.approx(
             4.4809636e-09, rel=1e-12
         )
 
@@ -383,7 +386,7 @@ class TestErrorMeasures:
         with pytest.raises(ConfigError):
             theoretical_mse(table_stats, (1, 9), 0.0)
         with pytest.raises(ConfigError):
-            mc_theoretical_mse(table_stats, -1.0)
+            theoretical_mse(table_stats, (1,), -1.0)
 
 
 class TestEstimate:
@@ -484,3 +487,108 @@ class TestPlanValidation:
                 predicted_cost=20.0,  # over budget
                 below_minimum=False,
             )
+
+
+@hst.composite
+def stats_tables(draw):
+    """A statistics table of 2-5 models; model 1 is the high-fidelity one."""
+    k = draw(hst.integers(2, 5))
+    rho = [1.0] + [
+        draw(hst.sampled_from((-1.0, 1.0))) * draw(hst.floats(0.05, 0.9999))
+        for _ in range(k - 1)
+    ]
+    cost = [draw(hst.floats(1e-3, 10.0)) for _ in range(k)]
+    sigma = [draw(hst.floats(0.01, 10.0)) for _ in range(k)]
+    return make_stats(rho, cost, sigma)
+
+
+@hst.composite
+def tables_with_subset(draw):
+    """A table and one of its feasible subsets of two or more models."""
+    stats = draw(stats_tables())
+    candidates = enumerate_feasible_subsets(stats)
+    assume(candidates)
+    return stats, draw(hst.sampled_from(candidates)).model_ids
+
+
+def staircase_cost(stats, model_ids):
+    """Cost of the fully pinned below-minimum counts ``1, 2, ..., m``."""
+    cost = stats.cost[[stats.index(i) for i in model_ids]]
+    return float(np.dot(np.arange(1, len(cost) + 1), cost))
+
+
+#: Budgets, in units of the high-fidelity cost, at which the old plain Monte
+#: Carlo count ``int(B / c1 + 1e-9)`` sits on or next to a step.
+MC_BOUNDARY_SCALES = (1.0 - 1e-10, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 2.0 - 1e-13, 2.0, 7.0)
+
+
+class TestEstimatorProperties:
+    """Invariants of the allocation algebra on generated statistics tables."""
+
+    def check_plan(self, stats, plan, budget):
+        cost = stats.cost[[stats.index(i) for i in plan.model_ids]]
+        # floors are nudged by 1e-9 samples, which may cost that much more
+        assert float(np.dot(cost, plan.samples)) <= budget * (1.0 + 1e-9)
+        assert plan.predicted_cost == float(np.dot(cost, plan.samples))
+        assert plan.samples[0] >= 1
+        assert np.all(np.diff(plan.samples) >= 0)
+        assert 0.0 < variance_reduction_ratio(stats, plan.model_ids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tables_with_subset(), scale=hst.floats(1.0, 1e4))
+    def test_optimal_allocation(self, case, scale):
+        stats, subset = case
+        budget = minimum_budget(stats, subset) * scale
+        plan = allocate(stats, subset, budget)
+        self.check_plan(stats, plan, budget)
+        assert not plan.below_minimum
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tables_with_subset(), fraction=hst.floats(0.0, 1.0, exclude_max=True))
+    def test_below_minimum_allocation(self, case, fraction):
+        stats, subset = case
+        low, high = staircase_cost(stats, subset), minimum_budget(stats, subset)
+        assume(low < high)
+        budget = low + fraction * (high - low)
+        plan = allocate_below_minimum(stats, subset, budget)
+        self.check_plan(stats, plan, budget)
+        assert plan.below_minimum
+
+    def test_frozen_table_subsets_beat_monte_carlo(self, table_stats):
+        # V <= 1 is not implied by feasibility (rho2^2 = 0.5 and c2/c1 = 0.9
+        # give a feasible pair with V = 1.9); it holds for this family
+        candidates = enumerate_feasible_subsets(table_stats)
+        assert len(candidates) == 131
+        assert all(0.0 < c.v_ratio <= 1.0 for c in candidates)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stats=stats_tables(),
+        scale=hst.one_of(hst.sampled_from(MC_BOUNDARY_SCALES), hst.floats(1.0, 1e4)),
+    )
+    def test_one_model_plan_is_monte_carlo(self, stats, scale):
+        # bit for bit the plain Monte Carlo formulas: n = int(B / c1 + 1e-9),
+        # MSE sigma1^2 c1 / B at the budget and sigma1^2 / n at the plan
+        c1, sigma1 = stats.c1, stats.sigma1
+        budget = c1 * scale
+        n = int(budget / c1 + 1e-9)
+        assert variance_reduction_ratio(stats, (1,)) == 1.0
+        assert minimum_budget(stats, (1,)) == c1
+        assert theoretical_mse(stats, (1,), budget) == sigma1**2 * c1 / budget
+        for plan in (
+            allocate(stats, (1,), budget),
+            build_plan(stats, resolve_case(stats, "ids:1"), budget),
+        ):
+            assert plan.model_ids == (1,)
+            assert tuple(plan.samples) == (n,)
+            assert not plan.below_minimum
+            assert estimator_variance(stats, plan) == sigma1**2 / n
+
+    @settings(max_examples=50, deadline=None)
+    @given(stats=stats_tables(), scale=hst.floats(1e-6, 1.0 - 1e-8))
+    def test_one_model_plan_needs_one_sample(self, stats, scale):
+        candidate = resolve_case(stats, "ids:1")
+        with pytest.raises(InsufficientBudgetError):
+            allocate(stats, (1,), stats.c1 * scale)
+        with pytest.raises(InsufficientBudgetError):
+            build_plan(stats, candidate, stats.c1 * scale)
