@@ -4,6 +4,13 @@ All floats are written in shortest round-trip representation, so re-reading an
 artifact reproduces the in-memory values bit for bit.  Run directory names are
 content hashes of the configuration, never timestamps: re-running a command
 with the same configuration overwrites the same artifacts.
+
+The plan, estimate, validation and study files are derived from their
+dataclasses by the configuration's codec (:func:`phaseuq.campaign._encode` and
+``_decode``): JSON keys are the field names except where its key table says
+otherwise, and readers reject values of the wrong JSON type.  ``stats.csv``,
+``subsets.csv`` and ``pilot.json`` are written by hand, because they hold
+derived columns (cost ratios to ``c1``, ranks) rather than a dataclass's fields.
 """
 
 from __future__ import annotations
@@ -16,7 +23,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .campaign import CampaignConfig, PilotResult, StudyResult, ValidationResult
+from .campaign import (
+    CampaignConfig,
+    PilotResult,
+    StudyResult,
+    StudyRow,
+    ValidationResult,
+    _decode,
+    _encode,
+    _json_fields,
+)
 from .errors import ConfigError
 from .mfmc import AllocationPlan, EstimationResult, ModelStats, SubsetCandidate
 
@@ -165,42 +181,11 @@ def read_subsets_csv(path: Path) -> list[dict]:
 
 
 def plan_to_dict(plan: AllocationPlan) -> dict:
-    return {
-        "subset": list(plan.model_ids),
-        "alpha": [float(a) for a in plan.alpha],
-        "ratios": [float(r) for r in plan.ratios],
-        "samples": [int(s) for s in plan.samples],
-        "budget_seconds": float(plan.budget),
-        "predicted_cost_seconds": float(plan.predicted_cost),
-        "below_minimum": bool(plan.below_minimum),
-    }
+    return _encode(plan)
 
 
 def plan_from_dict(data: dict) -> AllocationPlan:
-    known = {
-        "subset",
-        "alpha",
-        "ratios",
-        "samples",
-        "budget_seconds",
-        "predicted_cost_seconds",
-        "below_minimum",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown plan keys: {sorted(unknown)}")
-    try:
-        return AllocationPlan(
-            model_ids=tuple(int(i) for i in data["subset"]),
-            alpha=np.asarray(data["alpha"], dtype=float),
-            ratios=np.asarray(data["ratios"], dtype=float),
-            samples=np.asarray(data["samples"], dtype=np.int64),
-            budget=float(data["budget_seconds"]),
-            predicted_cost=float(data["predicted_cost_seconds"]),
-            below_minimum=bool(data["below_minimum"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"plan is missing key {exc}") from None
+    return _decode(AllocationPlan, data, "plan")
 
 
 def _dump_json(path: Path, data: dict) -> None:
@@ -227,43 +212,15 @@ def read_plan_json(path: Path) -> AllocationPlan:
 
 
 def write_estimate_json(path: Path, result: EstimationResult) -> None:
-    _dump_json(
-        path,
-        {
-            "value": float(result.value),
-            "level_terms": [float(t) for t in result.level_terms],
-            "realized_cost_seconds": None
-            if result.realized_cost is None
-            else float(result.realized_cost),
-            "plan": plan_to_dict(result.plan),
-        },
-    )
+    _dump_json(path, _encode(result))
 
 
 def write_validation_json(path: Path, result: ValidationResult) -> None:
-    _dump_json(
-        path,
-        {
-            "value": float(result.value),
-            "n_samples": int(result.n_samples),
-            "cost_seconds": float(result.cost_seconds),
-        },
-    )
+    _dump_json(path, _encode(result))
 
 
 def read_validation_json(path: Path) -> ValidationResult:
-    data = _load_json(path)
-    unknown = set(data) - {"value", "n_samples", "cost_seconds"}
-    if unknown:
-        raise ConfigError(f"unknown validation keys: {sorted(unknown)}")
-    try:
-        return ValidationResult(
-            value=float(data["value"]),
-            n_samples=int(data["n_samples"]),
-            cost_seconds=float(data["cost_seconds"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"validation file is missing key {exc}") from None
+    return _decode(ValidationResult, _load_json(path), "validation")
 
 
 def write_pilot_json(path: Path, result: PilotResult) -> None:
@@ -278,63 +235,31 @@ def write_pilot_json(path: Path, result: PilotResult) -> None:
     )
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, list):
+        return subset_label(value)
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return _fmt(value)
+    return value
+
+
 def write_study_csv(path: Path, study: StudyResult) -> None:
-    """Error study table: one row per (case, budget)."""
+    """Error study table: one row per (case, budget), without the replicate
+    estimates."""
     path = _prepare(path)
+    header = [key for _, key in _json_fields(StudyRow) if key != "estimates"]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "case",
-                "subset",
-                "budget_seconds",
-                "samples",
-                "below_minimum",
-                "empirical_mse",
-                "theoretical_mse",
-                "plan_mse",
-                "mean_realized_cost_seconds",
-            ]
-        )
-        for row in study.rows:
-            writer.writerow(
-                [
-                    row.case,
-                    subset_label(row.model_ids),
-                    _fmt(row.budget),
-                    subset_label(row.samples),
-                    int(row.below_minimum),
-                    _fmt(row.empirical_mse),
-                    _fmt(row.theoretical_mse),
-                    _fmt(row.plan_mse),
-                    _fmt(row.mean_realized_cost),
-                ]
-            )
+        writer.writerow(header)
+        for row in map(_encode, study.rows):
+            writer.writerow([_csv_cell(row[key]) for key in header])
 
 
 def write_study_json(path: Path, study: StudyResult) -> None:
     """Full study record including per-replicate estimates."""
-    _dump_json(
-        path,
-        {
-            "reference": float(study.reference),
-            "rows": [
-                {
-                    "case": row.case,
-                    "subset": list(row.model_ids),
-                    "budget_seconds": float(row.budget),
-                    "samples": list(row.samples),
-                    "below_minimum": bool(row.below_minimum),
-                    "estimates": [float(e) for e in row.estimates],
-                    "empirical_mse": float(row.empirical_mse),
-                    "theoretical_mse": float(row.theoretical_mse),
-                    "plan_mse": float(row.plan_mse),
-                    "mean_realized_cost_seconds": float(row.mean_realized_cost),
-                }
-                for row in study.rows
-            ],
-        },
-    )
+    _dump_json(path, _encode(study))
 
 
 def write_field_csv(path: Path, padded: np.ndarray) -> None:

@@ -62,17 +62,74 @@ logger = logging.getLogger(__name__)
 #: Identifier of the high-fidelity model within every campaign.
 HF_MODEL_ID = 1
 
+
+@dataclass(frozen=True, eq=False)
+class PilotResult:
+    """Pilot statistics plus the raw shared-sample evaluations behind them."""
+
+    stats: ModelStats
+    values: np.ndarray
+    seconds: np.ndarray
+
+
+@dataclass(frozen=True)
+class ValidationResult:
+    """Reference estimate from independent high-fidelity samples."""
+
+    value: float
+    n_samples: int
+    cost_seconds: float
+
+
+@dataclass(frozen=True, eq=False)
+class StudyRow:
+    """One (case, budget) point of the estimator error study."""
+
+    case: str
+    model_ids: tuple[int, ...]
+    budget: float
+    samples: tuple[int, ...]
+    below_minimum: bool
+    estimates: tuple[float, ...]
+    empirical_mse: float
+    theoretical_mse: float
+    plan_mse: float
+    mean_realized_cost: float
+
+
+@dataclass(frozen=True, eq=False)
+class StudyResult:
+    """All rows of an error study plus the reference they were scored against."""
+
+    rows: tuple[StudyRow, ...]
+    reference: float
+
+
 _CONFIG_VERSION = 1
 
-#: Where the JSON form of a config departs from ``field name: value``: model
-#: entries use short keys, and ``KernelParams.delta`` is not written but read
-#: back as ``delta_hf``, because a campaign's family kernel is untruncated.
-_JSON_KEYS = {(ModelSpec, "model_id"): "id", (ModelSpec, "n_interior"): "n"}
+#: Where the JSON form of a dataclass departs from ``field name: value``: model
+#: entries use short keys, artifact subsets are ``subset`` and seconds carry a
+#: ``_seconds`` suffix, and ``KernelParams.delta`` is not written but read back
+#: as ``delta_hf``, because a campaign's family kernel is untruncated.
+_JSON_KEYS = {
+    (ModelSpec, "model_id"): "id",
+    (ModelSpec, "n_interior"): "n",
+    (AllocationPlan, "model_ids"): "subset",
+    (AllocationPlan, "budget"): "budget_seconds",
+    (AllocationPlan, "predicted_cost"): "predicted_cost_seconds",
+    (EstimationResult, "realized_cost"): "realized_cost_seconds",
+    (StudyRow, "model_ids"): "subset",
+    (StudyRow, "budget"): "budget_seconds",
+    (StudyRow, "mean_realized_cost"): "mean_realized_cost_seconds",
+}
 _JSON_COPIES = {(KernelParams, "delta"): "delta_hf"}
+
+#: JSON values accepted for each scalar type; a bool is never a number.
+_JSON_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 def _json_fields(cls) -> list:
-    """The written fields of a config dataclass, with their JSON keys."""
+    """The written fields of a dataclass, with their JSON keys."""
     return [
         (f, _JSON_KEYS.get((cls, f.name), f.name))
         for f in fields(cls)
@@ -85,12 +142,17 @@ def _encode(value):
         return {key: _encode(getattr(value, f.name)) for f, key in _json_fields(type(value))}
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
     return value
 
 
 def _decode(hint, value, where: str):
-    """A JSON value as an instance of the annotated type ``hint``: a config
-    dataclass, a ``tuple[X, ...]``, or ``int``, ``float`` or ``str``."""
+    """A JSON value as an instance of the annotated type ``hint``: a
+    dataclass, a ``tuple[X, ...]``, a 1-D ``np.ndarray`` of numbers, or
+    ``bool``, ``int``, ``float`` or ``str``, each from its own JSON type."""
     if is_dataclass(hint):
         if not isinstance(value, Mapping):
             raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
@@ -109,14 +171,18 @@ def _decode(hint, value, where: str):
             if owner is hint:
                 kwargs[name] = kwargs.get(source, getattr(hint, source))
         return hint(**kwargs)
+    if hint is np.ndarray:
+        return np.array(_decode(tuple[float, ...], value, where))
     if get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
         return tuple(_decode(get_args(hint)[0], item, where) for item in value)
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, _JSON_SCALARS[hint]):
+        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
     try:
         return hint(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}") from None
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a {hint.__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -283,11 +349,9 @@ class EvalEngine:
     entries in parallel (results are identical to serial evaluation).
     """
 
-    def __init__(self, config: CampaignConfig, workers: int | None = None):
+    def __init__(self, config: CampaignConfig):
         self.config = config
-        self.workers = config.workers if workers is None else workers
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        self.workers = config.workers
         self._cache: dict[tuple[int, str, int], tuple[float, float]] = {}
         self._pool: ProcessPoolExecutor | None = None
 
@@ -334,48 +398,6 @@ class EvalEngine:
         values = np.array([self._cache[(model_id, tag, i)][0] for i in range(count)])
         seconds = np.array([self._cache[(model_id, tag, i)][1] for i in range(count)])
         return values, seconds
-
-
-@dataclass(frozen=True, eq=False)
-class PilotResult:
-    """Pilot statistics plus the raw shared-sample evaluations behind them."""
-
-    stats: ModelStats
-    values: np.ndarray
-    seconds: np.ndarray
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    """Reference estimate from independent high-fidelity samples."""
-
-    value: float
-    n_samples: int
-    cost_seconds: float
-
-
-@dataclass(frozen=True, eq=False)
-class StudyRow:
-    """One (case, budget) point of the estimator error study."""
-
-    case: str
-    model_ids: tuple[int, ...]
-    budget: float
-    samples: tuple[int, ...]
-    below_minimum: bool
-    estimates: tuple[float, ...]
-    empirical_mse: float
-    theoretical_mse: float
-    plan_mse: float
-    mean_realized_cost: float
-
-
-@dataclass(frozen=True, eq=False)
-class StudyResult:
-    """All rows of an error study plus the reference they were scored against."""
-
-    rows: tuple[StudyRow, ...]
-    reference: float
 
 
 def run_pilot(engine: EvalEngine) -> PilotResult:

@@ -416,6 +416,15 @@ def minimum_budget(stats: ModelStats, model_ids: Sequence[int]) -> float:
     return float(np.dot(cost, r))
 
 
+def _candidate(stats: ModelStats, model_ids: Sequence[int]) -> SubsetCandidate:
+    """A feasible subset with its figures of merit (raises if infeasible)."""
+    return SubsetCandidate(
+        model_ids=order_subset(stats, model_ids),
+        v_ratio=variance_reduction_ratio(stats, model_ids),
+        b_min=minimum_budget(stats, model_ids),
+    )
+
+
 def enumerate_feasible_subsets(stats: ModelStats) -> list[SubsetCandidate]:
     """All feasible subsets of two or more models, sorted by variance ratio.
 
@@ -430,13 +439,7 @@ def enumerate_feasible_subsets(stats: ModelStats) -> list[SubsetCandidate]:
             ids = (stats.hf_id, *combo)
             if not is_feasible(stats, ids):
                 continue
-            found.append(
-                SubsetCandidate(
-                    model_ids=order_subset(stats, ids),
-                    v_ratio=variance_reduction_ratio(stats, ids),
-                    b_min=minimum_budget(stats, ids),
-                )
-            )
+            found.append(_candidate(stats, ids))
     found.sort(key=lambda c: (c.v_ratio, c.b_min, c.model_ids))
     return found
 
@@ -454,12 +457,7 @@ def resolve_case(stats: ModelStats, case: str) -> SubsetCandidate:
             ids = tuple(int(tok) for tok in case[4:].split("+"))
         except ValueError:
             raise ConfigError(f"cannot parse subset selector {case!r}") from None
-        _require_feasible(stats, ids)
-        return SubsetCandidate(
-            model_ids=order_subset(stats, ids),
-            v_ratio=variance_reduction_ratio(stats, ids),
-            b_min=minimum_budget(stats, ids),
-        )
+        return _candidate(stats, ids)
     candidates = enumerate_feasible_subsets(stats)
     if not candidates:
         raise InfeasibleSubsetError("no feasible model subset exists")
@@ -497,6 +495,10 @@ def allocate(stats: ModelStats, model_ids: Sequence[int], budget: float) -> Allo
     denom = float(np.dot(cost, r))
     m1 = budget / denom
     if m1 < 1.0 - _FLOOR_NUDGE:
+        if len(ordered) == 1:
+            raise InsufficientBudgetError(
+                f"budget {budget:.6g} s buys no high-fidelity sample (cost {denom:.6g} s)"
+            )
         raise InsufficientBudgetError(
             f"budget {budget:.6g} s is below the minimum budget {denom:.6g} s of "
             f"subset {ordered}; use the below-minimum allocation"

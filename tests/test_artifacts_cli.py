@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -18,10 +19,14 @@ from phaseuq import (
     ModelSpec,
     ModelStats,
     SimParams,
+    StudyResult,
+    StudyRow,
     allocate,
+    allocate_below_minimum,
     desk_config,
     enumerate_feasible_subsets,
     mc_estimate,
+    mfmc_estimate,
     reference_config,
     replicate_stream,
     run_mse_study,
@@ -37,9 +42,12 @@ from phaseuq.artifacts import (
     read_validation_json,
     run_id,
     subset_label,
+    write_estimate_json,
     write_field_csv,
     write_plan_json,
     write_stats_csv,
+    write_study_csv,
+    write_study_json,
     write_subsets_csv,
     write_validation_json,
 )
@@ -123,17 +131,20 @@ class TestSubsetsCsv:
 
 class TestPlanJson:
     def test_round_trip(self, tmp_path, table_stats):
-        plan = allocate(table_stats, (1, 2, 3, 9), 2000.0)
         path = tmp_path / "plan.json"
-        write_plan_json(path, plan)
-        back = read_plan_json(path)
-        assert back.model_ids == plan.model_ids
-        np.testing.assert_array_equal(back.alpha, plan.alpha)
-        np.testing.assert_array_equal(back.ratios, plan.ratios)
-        np.testing.assert_array_equal(back.samples, plan.samples)
-        assert back.budget == plan.budget
-        assert back.predicted_cost == plan.predicted_cost
-        assert back.below_minimum == plan.below_minimum
+        for plan in (
+            allocate(table_stats, (1, 2, 3, 9), 2000.0),
+            allocate_below_minimum(table_stats, (1, 2, 3, 9), 40.0),
+        ):
+            write_plan_json(path, plan)
+            back = read_plan_json(path)
+            assert back.model_ids == plan.model_ids
+            np.testing.assert_array_equal(back.alpha, plan.alpha)
+            np.testing.assert_array_equal(back.ratios, plan.ratios)
+            np.testing.assert_array_equal(back.samples, plan.samples)
+            assert back.budget == plan.budget
+            assert back.predicted_cost == plan.predicted_cost
+            assert back.below_minimum == plan.below_minimum
 
     def test_dict_validation(self, table_stats):
         plan = allocate(table_stats, (1, 9), 100.0)
@@ -145,6 +156,21 @@ class TestPlanJson:
         del incomplete["alpha"]
         with pytest.raises(ConfigError):
             plan_from_dict(incomplete)
+        # values of the wrong JSON type are rejected, not coerced
+        for key, value in (
+            ("below_minimum", "false"),
+            ("below_minimum", 0),
+            ("subset", [1.9, 2.2]),
+            ("subset", [True, 9]),
+            ("samples", ["3", 400]),
+            ("budget_seconds", "100.0"),
+            ("budget_seconds", True),
+        ):
+            with pytest.raises(ConfigError, match=key):
+                plan_from_dict(dict(plan_to_dict(plan), **{key: value}))
+        # JSON integers are accepted where floats are expected
+        back = plan_from_dict(dict(plan_to_dict(plan), budget_seconds=100))
+        assert back.budget == 100.0 and isinstance(back.budget, float)
 
 
 class TestValidationJson:
@@ -161,6 +187,71 @@ class TestValidationJson:
             read_validation_json(path)
         with pytest.raises(ConfigError):
             read_validation_json(tmp_path / "missing.json")
+
+
+class TestArtifactBytes:
+    """The derived plan, estimate, validation and study formats, pinned to
+    their bytes: a change to any of them must be deliberate."""
+
+    PINNED = {
+        "plan_full.json": "9460d764411e3f44c40a07a3ea7af5e88c74e574b484379cc17d55ce21cfebde",
+        "plan_below.json": "80868012c9cad9c3915d2c1f3b4c15af3a0589b071e00aae12ee37f38551c9bb",
+        "plan_mc.json": "f930d1d5cde78f1fa5d10653f8089d81e2b8a8724067a42691221e9403fbcaf5",
+        "estimate_cost.json": "82fa717032cff22ed900bb827fa4dfc9eaf2d3c3513b30a6a65f4c5716d046ef",
+        "estimate_none.json": "6bf6b89c580f674910cddc85ee6dda6eb7b3eb8ce5b8c263a4bd82cf671d591a",
+        "validation.json": "d6d6150f2430efb2225ea0416e24ba169941d83fdc6c15d3313abf4eec6a1de8",
+        "mse_study.json": "2250a9ead7fd9f3d36365ef0bde16116667c1a303bca69ff082358f45d1f4e23",
+        "mse_study.csv": "93cefb4c127aea94e18ee22f3b4c871276b2c1fc10ee35a0d1e34c411e35b5f0",
+    }
+
+    @staticmethod
+    def _values(plan):
+        # dyadic outputs: their sums are exact, so the means do not depend
+        # on the summation order
+        n = int(plan.samples[-1])
+        return {i: (np.arange(n) % 8 + i) / 8.0 for i in plan.model_ids}
+
+    def test_bytes_pinned(self, tmp_path, table_stats):
+        full = allocate(table_stats, (1, 9), 40.0)
+        below = allocate_below_minimum(table_stats, (1, 2, 3, 9), 40.0)
+        mc = allocate(table_stats, (1,), 7.5)
+        write_plan_json(tmp_path / "plan_full.json", full)
+        write_plan_json(tmp_path / "plan_below.json", below)
+        write_plan_json(tmp_path / "plan_mc.json", mc)
+        estimate = mfmc_estimate(full, self._values(full))
+        write_estimate_json(
+            tmp_path / "estimate_cost.json", replace(estimate, realized_cost=39.625)
+        )
+        write_estimate_json(tmp_path / "estimate_none.json", mfmc_estimate(mc, self._values(mc)))
+        write_validation_json(
+            tmp_path / "validation.json",
+            ValidationResult(value=0.123456789, n_samples=77, cost_seconds=3.25),
+        )
+        rows = tuple(
+            StudyRow(
+                case=case,
+                model_ids=plan.model_ids,
+                budget=plan.budget,
+                samples=tuple(int(s) for s in plan.samples),
+                below_minimum=plan.below_minimum,
+                estimates=(0.5 + k / 16, 0.25 - k / 32, 1 / 3),
+                empirical_mse=1e-7 * (k + 1),
+                theoretical_mse=2.5e-7 / (k + 1),
+                plan_mse=0.1 / 3 * k,
+                mean_realized_cost=plan.predicted_cost * 1.0625,
+            )
+            for k, (case, plan) in enumerate(
+                (("min-V", full), ("min-budget", below), ("mc", mc))
+            )
+        )
+        study = StudyResult(rows=rows, reference=0.3)
+        write_study_json(tmp_path / "mse_study.json", study)
+        write_study_csv(tmp_path / "mse_study.csv", study)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.PINNED
+        }
+        assert digests == self.PINNED
 
 
 class TestFieldCsv:
@@ -284,6 +375,33 @@ class TestConfigJson:
 
         with pytest.raises(ConfigError):
             CampaignConfig.from_json("not json {")
+
+        # scalars must have their own JSON type; a bool is never a number
+        for section, key, value in (
+            (None, "pilot_samples", "50"),
+            (None, "pilot_samples", 2.9),
+            (None, "master_seed", True),
+            (None, "cases", [5]),
+            (None, "budgets", ["5"]),
+            (None, "budgets", [True]),
+            ("sim", "beta1", True),
+            ("sim", "max_sweeps", 10.0),
+            ("sim", "interaction_fill", 1),
+            ("kernel", "eps2", "0.1"),
+            ("kernel", "eps2", 10**400),
+        ):
+            data = json.loads(json.dumps(base))
+            (data if section is None else data[section])[key] = value
+            with pytest.raises(ConfigError, match=key):
+                CampaignConfig.from_dict(data)
+        for model_key, value in (("n", 8.7), ("id", "1"), ("delta", None), ("label", 5)):
+            data = json.loads(json.dumps(base))
+            data["models"][0][model_key] = value
+            with pytest.raises(ConfigError, match=model_key):
+                CampaignConfig.from_dict(data)
+        # integer budgets are JSON integers where floats are expected
+        data = dict(base, budgets=[5, 10])
+        assert CampaignConfig.from_dict(data).budgets == (5.0, 10.0)
 
     def test_semantic_validation(self, micro_config):
         with pytest.raises(ConfigError):

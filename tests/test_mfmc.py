@@ -387,6 +387,11 @@ class TestErrorMeasures:
             theoretical_mse(table_stats, (1, 9), 0.0)
         with pytest.raises(ConfigError):
             theoretical_mse(table_stats, (1,), -1.0)
+        # plain MC below c1 cannot be rescued by the below-minimum allocation
+        with pytest.raises(InsufficientBudgetError, match="buys no high-fidelity sample"):
+            allocate(table_stats, (1,), 0.5)
+        with pytest.raises(InsufficientBudgetError, match="below-minimum allocation"):
+            allocate(table_stats, (1, 9), 5.0)
 
 
 class TestEstimate:
