@@ -5,10 +5,13 @@ artifact reproduces the in-memory values bit for bit.  Run directory names are
 content hashes of the configuration, never timestamps: re-running a command
 with the same configuration overwrites the same artifacts.
 
-The plan, estimate, validation and study files are derived from their
-dataclasses by the configuration's codec (:func:`phaseuq.campaign._encode` and
-``_decode``): JSON keys are the field names except where its key table says
-otherwise, and readers reject values of the wrong JSON type.  ``stats.csv``,
+The plan, estimate, validation and study files, and theta files of explicit
+inputs, are their dataclasses (``AllocationPlan``, ``EstimationResult``,
+``ValidationResult``, ``StudyResult``, ``RandomInputs``) written by
+:func:`write_json` and read by :func:`read_json` through the configuration's
+codec (:func:`phaseuq.campaign._encode` and ``_decode``): JSON keys are the
+field names except where its key table says otherwise, and the reader rejects
+unknown or missing keys and values of the wrong JSON type.  ``stats.csv``,
 ``subsets.csv`` and ``pilot.json`` are written by hand, because they hold
 derived columns (cost ratios to ``c1``, ranks) rather than a dataclass's fields.
 """
@@ -19,7 +22,7 @@ import csv
 import hashlib
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -28,13 +31,12 @@ from .campaign import (
     PilotResult,
     StudyResult,
     StudyRow,
-    ValidationResult,
     _decode,
     _encode,
     _json_fields,
 )
 from .errors import ConfigError
-from .mfmc import AllocationPlan, EstimationResult, ModelStats, SubsetCandidate
+from .mfmc import ModelStats, SubsetCandidate
 
 __all__ = [
     "run_id",
@@ -42,16 +44,10 @@ __all__ = [
     "read_stats_csv",
     "write_subsets_csv",
     "read_subsets_csv",
-    "plan_to_dict",
-    "plan_from_dict",
-    "write_plan_json",
-    "read_plan_json",
-    "write_estimate_json",
-    "write_validation_json",
-    "read_validation_json",
+    "write_json",
+    "read_json",
     "write_pilot_json",
     "write_study_csv",
-    "write_study_json",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -84,6 +80,9 @@ def parse_subset_label(label: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse subset label {label!r}") from None
 
 
+_STATS_HEADER = ["model", "h", "delta", "rho", "cost_ratio", "sigma"]
+
+
 def write_stats_csv(path: Path, stats: ModelStats) -> None:
     """Pilot statistics table: one row per model, costs relative to the
     high-fidelity cost recorded in the header comment."""
@@ -92,7 +91,7 @@ def write_stats_csv(path: Path, stats: ModelStats) -> None:
     with path.open("w", newline="") as fh:
         fh.write(f"# c1_seconds={_fmt(c1)}\n")
         writer = csv.writer(fh)
-        writer.writerow(["model", "h", "delta", "rho", "cost_ratio", "sigma"])
+        writer.writerow(_STATS_HEADER)
         for k, model_id in enumerate(stats.ids):
             h = "" if stats.h is None else _fmt(stats.h[k])
             delta = "" if stats.delta is None else _fmt(stats.delta[k])
@@ -115,16 +114,26 @@ def read_stats_csv(path: Path) -> ModelStats:
     lines = path.read_text().splitlines()
     if not lines or not lines[0].startswith("# c1_seconds="):
         raise ConfigError(f"{path} is missing the '# c1_seconds=' header")
-    c1 = float(lines[0].split("=", 1)[1])
+
+    def number(text, column, kind=float):
+        try:
+            return kind(text)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: {column} must be a number, got {text!r}") from None
+
+    c1 = number(lines[0].split("=", 1)[1], "c1_seconds")
     reader = csv.DictReader(lines[1:])
+    missing = [c for c in _STATS_HEADER if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{path}: missing columns {missing}")
     ids, rho, ratio, sigma, h, delta = [], [], [], [], [], []
     for row in reader:
-        ids.append(int(row["model"]))
-        rho.append(float(row["rho"]))
-        ratio.append(float(row["cost_ratio"]))
-        sigma.append(float(row["sigma"]))
-        h.append(float(row["h"]) if row["h"] else np.nan)
-        delta.append(float(row["delta"]) if row["delta"] else np.nan)
+        ids.append(number(row["model"], "model", int))
+        rho.append(number(row["rho"], "rho"))
+        ratio.append(number(row["cost_ratio"], "cost_ratio"))
+        sigma.append(number(row["sigma"], "sigma"))
+        h.append(number(row["h"], "h") if row["h"] else np.nan)
+        delta.append(number(row["delta"], "delta") if row["delta"] else np.nan)
     if not ids:
         raise ConfigError(f"{path} contains no model rows")
     h_arr = None if np.isnan(h).all() else np.asarray(h)
@@ -180,47 +189,29 @@ def read_subsets_csv(path: Path) -> list[dict]:
     return out
 
 
-def plan_to_dict(plan: AllocationPlan) -> dict:
-    return _encode(plan)
-
-
-def plan_from_dict(data: dict) -> AllocationPlan:
-    return _decode(AllocationPlan, data, "plan")
-
-
 def _dump_json(path: Path, data: dict) -> None:
     path = _prepare(path)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path: Path) -> dict:
+def write_json(path: Path, obj) -> None:
+    """A dataclass instance as a JSON file of its fields."""
+    _dump_json(path, _encode(obj))
+
+
+_T = TypeVar("_T")
+
+
+def read_json(path: Path, cls: type[_T]) -> _T:
+    """The instance of dataclass ``cls`` held by a JSON file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{path} does not exist")
     try:
-        return json.loads(path.read_text())
+        data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-
-
-def write_plan_json(path: Path, plan: AllocationPlan) -> None:
-    _dump_json(path, plan_to_dict(plan))
-
-
-def read_plan_json(path: Path) -> AllocationPlan:
-    return plan_from_dict(_load_json(path))
-
-
-def write_estimate_json(path: Path, result: EstimationResult) -> None:
-    _dump_json(path, _encode(result))
-
-
-def write_validation_json(path: Path, result: ValidationResult) -> None:
-    _dump_json(path, _encode(result))
-
-
-def read_validation_json(path: Path) -> ValidationResult:
-    return _decode(ValidationResult, _load_json(path), "validation")
+    return _decode(cls, data, str(path))
 
 
 def write_pilot_json(path: Path, result: PilotResult) -> None:
@@ -255,11 +246,6 @@ def write_study_csv(path: Path, study: StudyResult) -> None:
         writer.writerow(header)
         for row in map(_encode, study.rows):
             writer.writerow([_csv_cell(row[key]) for key in header])
-
-
-def write_study_json(path: Path, study: StudyResult) -> None:
-    """Full study record including per-replicate estimates."""
-    _dump_json(path, _encode(study))
 
 
 def write_field_csv(path: Path, padded: np.ndarray) -> None:

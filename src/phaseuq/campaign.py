@@ -16,9 +16,11 @@ import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from types import UnionType
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
+import numpy.typing as npt
 
 from .errors import ConfigError, InsufficientBudgetError
 from .grid import KernelParams
@@ -127,6 +129,9 @@ _JSON_COPIES = {(KernelParams, "delta"): "delta_hf"}
 #: JSON values accepted for each scalar type; a bool is never a number.
 _JSON_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
+#: Array annotations the codec reads, with the scalar type of their elements.
+_JSON_ARRAYS = {np.ndarray: float, npt.NDArray[np.int64]: int}
+
 
 def _json_fields(cls) -> list:
     """The written fields of a dataclass, with their JSON keys."""
@@ -151,8 +156,9 @@ def _encode(value):
 
 def _decode(hint, value, where: str):
     """A JSON value as an instance of the annotated type ``hint``: a
-    dataclass, a ``tuple[X, ...]``, a 1-D ``np.ndarray`` of numbers, or
-    ``bool``, ``int``, ``float`` or ``str``, each from its own JSON type."""
+    dataclass, an ``X | None``, a ``tuple[X, ...]``, an array of one of
+    ``_JSON_ARRAYS`` from a list or a rectangular nest of lists, or ``bool``,
+    ``int``, ``float`` or ``str``, each from its own JSON type."""
     if is_dataclass(hint):
         if not isinstance(value, Mapping):
             raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
@@ -171,8 +177,20 @@ def _decode(hint, value, where: str):
             if owner is hint:
                 kwargs[name] = kwargs.get(source, getattr(hint, source))
         return hint(**kwargs)
-    if hint is np.ndarray:
-        return np.array(_decode(tuple[float, ...], value, where))
+    if isinstance(hint, UnionType):
+        (inner,) = set(get_args(hint)) - {type(None)}
+        return None if value is None else _decode(inner, value, where)
+    if hint in _JSON_ARRAYS:
+        if isinstance(value, list) and value and all(isinstance(v, list) for v in value):
+            rows = [_decode(hint, v, where) for v in value]
+            if len({row.shape for row in rows}) > 1:
+                raise ConfigError(f"{where} must be a rectangular array, got ragged rows")
+            return np.array(rows)
+        item = _JSON_ARRAYS[hint]
+        try:
+            return np.array(_decode(tuple[item, ...], value, where), dtype=item)
+        except OverflowError:
+            raise ConfigError(f"{where} is too large for an array of {item.__name__}") from None
     if get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")

@@ -28,12 +28,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import artifacts
 from .campaign import (
     CampaignConfig,
     EvalEngine,
+    ValidationResult,
     desk_config,
     reference_config,
     run_estimate,
@@ -124,10 +123,10 @@ def _cmd_estimate(args) -> int:
         stats, candidate, args.budget, allow_below_minimum=args.allow_below_min
     )
     out = _out_dir(args, "estimate", config)
-    artifacts.write_plan_json(out / "plan.json", plan)
+    artifacts.write_json(out / "plan.json", plan)
     with EvalEngine(config) as engine:
         result = run_estimate(engine, plan, replicate_stream(config.master_seed, 0).tag)
-    artifacts.write_estimate_json(out / "estimate.json", result)
+    artifacts.write_json(out / "estimate.json", result)
     _write_config(out, config)
     below = " (below minimum budget)" if plan.below_minimum else ""
     print(f"subset {artifacts.subset_label(plan.model_ids)}{below}")
@@ -145,7 +144,7 @@ def _cmd_validate(args) -> int:
     out = _out_dir(args, "validate", config)
     with EvalEngine(config) as engine:
         result = run_validation(engine)
-    artifacts.write_validation_json(out / "validation.json", result)
+    artifacts.write_json(out / "validation.json", result)
     _write_config(out, config)
     print(f"reference {result.value!r} from {result.n_samples} samples")
     print(f"wrote {out / 'validation.json'}")
@@ -161,12 +160,12 @@ def _cmd_mse_study(args) -> int:
             raise ConfigError(f"cannot parse budgets {args.budgets!r}") from None
         config = replace(config, budgets=budgets)
     stats = artifacts.read_stats_csv(Path(args.stats))
-    reference = artifacts.read_validation_json(Path(args.validation)).value
+    reference = artifacts.read_json(Path(args.validation), ValidationResult).value
     out = _out_dir(args, "mse-study", config)
     with EvalEngine(config) as engine:
         study = run_mse_study(engine, stats, reference)
     artifacts.write_study_csv(out / "mse_study.csv", study)
-    artifacts.write_study_json(out / "mse_study.json", study)
+    artifacts.write_json(out / "mse_study.json", study)
     _write_config(out, config)
     for row in study.rows:
         print(
@@ -178,30 +177,13 @@ def _cmd_mse_study(args) -> int:
     return 0
 
 
-def _load_theta(args, config: CampaignConfig) -> RandomInputs:
-    if args.theta_file is not None:
-        data = artifacts._load_json(Path(args.theta_file))
-        if not isinstance(data, dict):
-            raise ConfigError(f"theta file must hold a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {"mu", "eta"}
-        if unknown:
-            raise ConfigError(f"unknown theta keys: {sorted(unknown)}")
-        try:
-            return RandomInputs(
-                mu=np.asarray(data["mu"], dtype=float),
-                eta=np.asarray(data["eta"], dtype=float),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"theta file is missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"theta file values must be numbers: {exc}") from None
-    return SampleStream(config.master_seed, args.stream).theta(args.theta_index)
-
-
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     model = config.model(args.model)
-    theta = _load_theta(args, config)
+    if args.theta_file is not None:
+        theta = artifacts.read_json(Path(args.theta_file), RandomInputs)
+    else:
+        theta = SampleStream(config.master_seed, args.stream).theta(args.theta_index)
     family = config.kernel_for(model)
     stencil = cached_stencil(
         model.n_interior, family.eps2, family.delta_hf, model.delta, family.c_f

@@ -23,6 +23,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from .errors import (
     ConfigError,
@@ -191,7 +192,7 @@ class AllocationPlan:
     model_ids: tuple[int, ...]
     alpha: np.ndarray
     ratios: np.ndarray
-    samples: np.ndarray
+    samples: npt.NDArray[np.int64]
     budget: float
     predicted_cost: float
     below_minimum: bool
@@ -397,15 +398,20 @@ def variance_reduction_ratio(stats: ModelStats, model_ids: Sequence[int]) -> flo
     return float(root_sum**2)
 
 
+def _tail_ratios(rho2: np.ndarray, cost: np.ndarray, j: int) -> np.ndarray:
+    """Optimal sample ratios of levels ``j..m-1`` (0-based) to level ``j``."""
+    tail = np.arange(j, len(cost))
+    gap_ref = rho2[j] - rho2[j + 1]
+    r = np.sqrt(cost[j] * (rho2[tail] - rho2[tail + 1]) / (cost[tail] * gap_ref))
+    r[0] = 1.0
+    return r
+
+
 def sample_ratios(stats: ModelStats, model_ids: Sequence[int]) -> np.ndarray:
     """Optimal per-model sample ratios ``r_j = m_j / m_1`` (feasible subsets)."""
     _require_feasible(stats, model_ids)
     _, rho, cost, _ = _subset_arrays(stats, model_ids)
-    rho2 = _rho2_extended(rho)
-    denom = 1.0 - rho2[1] if len(rho) > 1 else 1.0
-    r = np.sqrt(cost[0] * (rho2[:-1] - rho2[1:]) / (cost * denom))
-    r[0] = 1.0
-    return r
+    return _tail_ratios(_rho2_extended(rho), cost, 0)
 
 
 def minimum_budget(stats: ModelStats, model_ids: Sequence[int]) -> float:
@@ -547,12 +553,9 @@ def allocate_below_minimum(
             break
         j = bad[0] + 1  # 1-based level index to pin through
         counts[:j] = np.arange(1, j + 1)
-        gap_ref = rho2[j] - rho2[j + 1]
-        tail = np.arange(j, m)
-        r_tail = np.sqrt(cost[j] * (rho2[tail] - rho2[tail + 1]) / (cost[tail] * gap_ref))
-        r_tail[0] = 1.0
+        r_tail = _tail_ratios(rho2, cost, j)
         remaining = budget - float(np.dot(np.arange(1, j + 1), cost[:j]))
-        lead = remaining / float(np.dot(cost[tail], r_tail))
+        lead = remaining / float(np.dot(cost[j:], r_tail))
         counts[j:] = lead * r_tail
         pinned = j
     samples = _floor_counts(counts)

@@ -12,47 +12,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from phaseuq import (
+    AllocationPlan,
     CampaignConfig,
     ConfigError,
+    EstimationResult,
     EvalEngine,
     KernelParams,
     ModelSpec,
     ModelStats,
+    PilotResult,
     SimParams,
     StudyResult,
     StudyRow,
+    ValidationResult,
     allocate,
     allocate_below_minimum,
     desk_config,
     enumerate_feasible_subsets,
     mc_estimate,
     mfmc_estimate,
+    pilot_stream,
     reference_config,
     replicate_stream,
     run_mse_study,
 )
 from phaseuq.artifacts import (
     parse_subset_label,
-    plan_from_dict,
-    plan_to_dict,
     read_field_csv,
-    read_plan_json,
+    read_json,
     read_stats_csv,
     read_subsets_csv,
-    read_validation_json,
     run_id,
     subset_label,
-    write_estimate_json,
     write_field_csv,
-    write_plan_json,
+    write_json,
+    write_pilot_json,
     write_stats_csv,
     write_study_csv,
-    write_study_json,
     write_subsets_csv,
-    write_validation_json,
 )
-from phaseuq.campaign import ValidationResult
 from phaseuq.cli import main
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+_GOOD_STATS = "# c1_seconds=0.5\nmodel,h,delta,rho,cost_ratio,sigma\n1,,,1.0,1.0,0.25\n"
+
+#: Malformed statistics files: name -> (text, the column its error names).
+_MALFORMED_STATS = {
+    "cell.csv": (_GOOD_STATS.replace("0.25", "abc"), "sigma"),
+    "c1.csv": (_GOOD_STATS.replace("=0.5", "=fast"), "c1_seconds"),
+    "column.csv": (
+        _GOOD_STATS.replace(",cost_ratio", "").replace(",1.0,0.25", ",0.25"),
+        "cost_ratio",
+    ),
+}
 
 
 class TestStatsCsv:
@@ -104,6 +121,11 @@ class TestStatsCsv:
         empty.write_text("# c1_seconds=1.0\nmodel,h,delta,rho,cost_ratio,sigma\n")
         with pytest.raises(ConfigError):
             read_stats_csv(empty)
+        # malformed cells and columns name the file and the column
+        assert read_stats_csv(_write(tmp_path / "good.csv", _GOOD_STATS)).c1 == 0.5
+        for name, (text, column) in _MALFORMED_STATS.items():
+            with pytest.raises(ConfigError, match=f"{name}: .*{column}"):
+                read_stats_csv(_write(tmp_path / name, text))
 
 
 class TestSubsetsCsv:
@@ -136,8 +158,8 @@ class TestPlanJson:
             allocate(table_stats, (1, 2, 3, 9), 2000.0),
             allocate_below_minimum(table_stats, (1, 2, 3, 9), 40.0),
         ):
-            write_plan_json(path, plan)
-            back = read_plan_json(path)
+            write_json(path, plan)
+            back = read_json(path, AllocationPlan)
             assert back.model_ids == plan.model_ids
             np.testing.assert_array_equal(back.alpha, plan.alpha)
             np.testing.assert_array_equal(back.ratios, plan.ratios)
@@ -146,16 +168,21 @@ class TestPlanJson:
             assert back.predicted_cost == plan.predicted_cost
             assert back.below_minimum == plan.below_minimum
 
-    def test_dict_validation(self, table_stats):
-        plan = allocate(table_stats, (1, 9), 100.0)
-        data = plan_to_dict(plan)
-        data["surprise"] = 1
+    def test_dict_validation(self, tmp_path, table_stats):
+        path = tmp_path / "plan.json"
+        write_json(path, allocate(table_stats, (1, 9), 100.0))
+        plan = json.loads(path.read_text())
+
+        def read(data):
+            path.write_text(json.dumps(data))
+            return read_json(path, AllocationPlan)
+
         with pytest.raises(ConfigError):
-            plan_from_dict(data)
-        incomplete = plan_to_dict(plan)
+            read(dict(plan, surprise=1))
+        incomplete = dict(plan)
         del incomplete["alpha"]
         with pytest.raises(ConfigError):
-            plan_from_dict(incomplete)
+            read(incomplete)
         # values of the wrong JSON type are rejected, not coerced
         for key, value in (
             ("below_minimum", "false"),
@@ -163,13 +190,16 @@ class TestPlanJson:
             ("subset", [1.9, 2.2]),
             ("subset", [True, 9]),
             ("samples", ["3", 400]),
+            ("samples", [3.7, 414.2]),
+            ("samples", [10**30, 10**30]),
+            ("alpha", [[0.5]]),
             ("budget_seconds", "100.0"),
             ("budget_seconds", True),
         ):
             with pytest.raises(ConfigError, match=key):
-                plan_from_dict(dict(plan_to_dict(plan), **{key: value}))
+                read(dict(plan, **{key: value}))
         # JSON integers are accepted where floats are expected
-        back = plan_from_dict(dict(plan_to_dict(plan), budget_seconds=100))
+        back = read(dict(plan, budget_seconds=100))
         assert back.budget == 100.0 and isinstance(back.budget, float)
 
 
@@ -177,21 +207,21 @@ class TestValidationJson:
     def test_round_trip(self, tmp_path):
         result = ValidationResult(value=0.123456789, n_samples=77, cost_seconds=3.25)
         path = tmp_path / "validation.json"
-        write_validation_json(path, result)
-        assert read_validation_json(path) == result
+        write_json(path, result)
+        assert read_json(path, ValidationResult) == result
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "validation.json"
         path.write_text('{"value": 0.5, "n_samples": 3, "cost_seconds": 1.0, "x": 1}')
         with pytest.raises(ConfigError):
-            read_validation_json(path)
+            read_json(path, ValidationResult)
         with pytest.raises(ConfigError):
-            read_validation_json(tmp_path / "missing.json")
+            read_json(tmp_path / "missing.json", ValidationResult)
 
 
 class TestArtifactBytes:
-    """The derived plan, estimate, validation and study formats, pinned to
-    their bytes: a change to any of them must be deliberate."""
+    """The artifact formats, pinned to their bytes: a change to any of them
+    must be deliberate."""
 
     PINNED = {
         "plan_full.json": "9460d764411e3f44c40a07a3ea7af5e88c74e574b484379cc17d55ce21cfebde",
@@ -202,6 +232,9 @@ class TestArtifactBytes:
         "validation.json": "d6d6150f2430efb2225ea0416e24ba169941d83fdc6c15d3313abf4eec6a1de8",
         "mse_study.json": "2250a9ead7fd9f3d36365ef0bde16116667c1a303bca69ff082358f45d1f4e23",
         "mse_study.csv": "93cefb4c127aea94e18ee22f3b4c871276b2c1fc10ee35a0d1e34c411e35b5f0",
+        "stats.csv": "a1b81c2f5c6764859f428d029807058f68f12e34c976a2dd058daaacb37c8e9b",
+        "subsets.csv": "d87d599958bb92410ee410fcf0bba84d8865bcb905e9ed4d84457cfcaf4afb91",
+        "pilot.json": "f64d1f64385fbc4456b25c3dcbe2716c0d57b7291f700428fb936f24c678c99f",
     }
 
     @staticmethod
@@ -211,22 +244,12 @@ class TestArtifactBytes:
         n = int(plan.samples[-1])
         return {i: (np.arange(n) % 8 + i) / 8.0 for i in plan.model_ids}
 
-    def test_bytes_pinned(self, tmp_path, table_stats):
+    def _json_objects(self, table_stats) -> dict:
+        """The dataclass files, by name."""
         full = allocate(table_stats, (1, 9), 40.0)
         below = allocate_below_minimum(table_stats, (1, 2, 3, 9), 40.0)
         mc = allocate(table_stats, (1,), 7.5)
-        write_plan_json(tmp_path / "plan_full.json", full)
-        write_plan_json(tmp_path / "plan_below.json", below)
-        write_plan_json(tmp_path / "plan_mc.json", mc)
         estimate = mfmc_estimate(full, self._values(full))
-        write_estimate_json(
-            tmp_path / "estimate_cost.json", replace(estimate, realized_cost=39.625)
-        )
-        write_estimate_json(tmp_path / "estimate_none.json", mfmc_estimate(mc, self._values(mc)))
-        write_validation_json(
-            tmp_path / "validation.json",
-            ValidationResult(value=0.123456789, n_samples=77, cost_seconds=3.25),
-        )
         rows = tuple(
             StudyRow(
                 case=case,
@@ -244,14 +267,50 @@ class TestArtifactBytes:
                 (("min-V", full), ("min-budget", below), ("mc", mc))
             )
         )
-        study = StudyResult(rows=rows, reference=0.3)
-        write_study_json(tmp_path / "mse_study.json", study)
-        write_study_csv(tmp_path / "mse_study.csv", study)
+        return {
+            "plan_full.json": full,
+            "plan_below.json": below,
+            "plan_mc.json": mc,
+            "estimate_cost.json": replace(estimate, realized_cost=39.625),
+            "estimate_none.json": mfmc_estimate(mc, self._values(mc)),
+            "validation.json": ValidationResult(
+                value=0.123456789, n_samples=77, cost_seconds=3.25
+            ),
+            "mse_study.json": StudyResult(rows=rows, reference=0.3),
+        }
+
+    def test_bytes_pinned(self, tmp_path, table_stats):
+        objects = self._json_objects(table_stats)
+        for name, obj in objects.items():
+            write_json(tmp_path / name, obj)
+        write_study_csv(tmp_path / "mse_study.csv", objects["mse_study.json"])
+        write_stats_csv(tmp_path / "stats.csv", table_stats)
+        write_subsets_csv(
+            tmp_path / "subsets.csv", enumerate_feasible_subsets(table_stats), table_stats.c1
+        )
+        k = np.arange(4.0)
+        write_pilot_json(
+            tmp_path / "pilot.json",
+            PilotResult(
+                stats=table_stats,
+                values=np.array([(k + i) / 16 for i in range(9)]),
+                seconds=np.array([(k + i + 4) / 8 for i in range(9)]),
+            ),
+        )
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in self.PINNED
         }
         assert digests == self.PINNED
+
+    def test_json_files_read_back(self, tmp_path, table_stats):
+        # every file write_json writes, read_json reads back to the same bytes
+        for name, obj in self._json_objects(table_stats).items():
+            path = tmp_path / name
+            write_json(path, obj)
+            text = path.read_text()
+            write_json(path, read_json(path, type(obj)))
+            assert path.read_text() == text, name
 
 
 class TestFieldCsv:
@@ -480,7 +539,7 @@ class TestCliPipeline:
 
         assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
         validation_path = _find_artifact(out, "validate", "validation.json")
-        reference = read_validation_json(validation_path)
+        reference = read_json(validation_path, ValidationResult)
         assert reference.n_samples == micro_config.validation_samples
         assert 0.0 <= reference.value <= 1.0
 
@@ -504,11 +563,10 @@ class TestCliPipeline:
             == 0
         )
         estimate_path = _find_artifact(out, "estimate", "estimate.json")
-        estimate = json.loads(estimate_path.read_text())
-        assert 0.0 <= estimate["value"] <= 1.0
-        assert estimate["realized_cost_seconds"] > 0.0
-        plan = plan_from_dict(estimate["plan"])
-        assert plan.model_ids[0] == 1
+        estimate = read_json(estimate_path, EstimationResult)
+        assert 0.0 <= estimate.value <= 1.0
+        assert estimate.realized_cost > 0.0
+        assert estimate.plan.model_ids[0] == 1
 
         assert (
             main(
@@ -561,6 +619,20 @@ class TestCliPipeline:
         n_steps = micro_config.sim.n_steps
         assert len(summary["times"]) == n_steps + 1
         assert len(summary["mass_fraction"]) == n_steps + 1
+
+    def test_theta_file_matches_stream(self, tmp_path, micro_config):
+        # a theta file holding a stream's input runs the same simulation
+        cfg = tmp_path / "micro.json"
+        cfg.write_text(micro_config.to_json())
+        theta = tmp_path / "theta.json"
+        write_json(theta, pilot_stream(micro_config.master_seed).theta(2))
+        argv = ["simulate", "--config", str(cfg), "--model", "3"]
+        assert main(argv + ["--out", str(tmp_path / "a"), "--theta-index", "2"]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b"), "--theta-file", str(theta)]) == 0
+        runs = [sorted((tmp_path / sub).glob("simulate-m3-*/*")) for sub in ("a", "b")]
+        assert [p.name for p in runs[0]] == [p.name for p in runs[1]]
+        for a, b in zip(*runs):
+            assert a.read_bytes() == b.read_bytes()
 
     def test_estimate_is_deterministic(self, tmp_path, micro_config):
         # with a fixed statistics table the whole estimate is reproducible;
@@ -627,19 +699,34 @@ class TestCliExitCodes:
             main(["subsets", "--stats", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
             == 2
         )
+        for name, (text, column) in _MALFORMED_STATS.items():
+            path = _write(tmp_path / name, text)
+            assert main(["subsets", "--stats", str(path), "--out", str(tmp_path)]) == 2
+            assert f"{name}: " in capsys.readouterr().err
 
     def test_bad_theta_file_exits_2(self, tmp_path, micro_config, capsys):
         cfg = tmp_path / "micro.json"
         cfg.write_text(micro_config.to_json())
-        not_json = tmp_path / "theta.txt"
-        not_json.write_text("mu = 0.95")
-        not_object = tmp_path / "theta.json"
-        not_object.write_text("[0.95, 0.95, 0.95, 0.95]")
-        not_numbers = tmp_path / "words.json"
-        not_numbers.write_text('{"mu": "deep", "eta": "shifted"}')
+        mu, eta = [0.95] * 4, [[0.0, 0.0]] * 4
+        bad = [
+            {"mu": "deep", "eta": "shifted"},
+            {"mu": mu, "eta": [[0.0, 0.0, 0.0]] * 4},  # eta shape
+            {"mu": mu, "eta": [[0.0, 0.0]] * 3 + [[0.0]]},  # ragged eta
+            {"mu": [0.95, 0.95, 0.95, 1.5], "eta": eta},  # mu out of range
+            {"mu": mu, "eta": eta, "seed": 1},  # extra key
+            {"mu": mu},  # missing key
+            {"mu": ["0.95"] * 4, "eta": eta},  # string numbers
+            {"mu": [True] * 4, "eta": eta},  # booleans
+        ]
+        paths = [
+            tmp_path / "absent.json",
+            _write(tmp_path / "theta.txt", "mu = 0.95"),
+            _write(tmp_path / "list.json", json.dumps(mu)),
+            *(_write(tmp_path / f"theta{k}.json", json.dumps(d)) for k, d in enumerate(bad)),
+        ]
         argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path), "--model", "3"]
-        for path in (tmp_path / "absent.json", not_json, not_object, not_numbers):
-            assert main(argv + ["--theta-file", str(path)]) == 2
+        for path in paths:
+            assert main(argv + ["--theta-file", str(path)]) == 2, path.name
             assert "error:" in capsys.readouterr().err
 
     def test_bad_budget_list_exits_2(self, tmp_path, micro_config):
