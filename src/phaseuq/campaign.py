@@ -158,7 +158,8 @@ def _decode(hint, value, where: str):
     """A JSON value as an instance of the annotated type ``hint``: a
     dataclass, an ``X | None``, a ``tuple[X, ...]``, an array of one of
     ``_JSON_ARRAYS`` from a list or a rectangular nest of lists, or ``bool``,
-    ``int``, ``float`` or ``str``, each from its own JSON type."""
+    ``int``, ``float`` or ``str``, each from its own JSON type; a ``float``
+    must be finite."""
     if is_dataclass(hint):
         if not isinstance(value, Mapping):
             raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
@@ -198,9 +199,12 @@ def _decode(hint, value, where: str):
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, _JSON_SCALARS[hint]):
         raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
     try:
-        return hint(value)
+        result = hint(value)
     except OverflowError:
         raise ConfigError(f"{where} is too large for a {hint.__name__}") from None
+    if hint is float and not np.isfinite(result):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return result
 
 
 @dataclass(frozen=True)
@@ -265,8 +269,8 @@ class CampaignConfig:
             raise ConfigError(f"pilot_samples must be >= 2, got {self.pilot_samples}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if any(b <= 0 for b in self.budgets):
-            raise ConfigError(f"budgets must be positive, got {self.budgets}")
+        if not all(0.0 < b < np.inf for b in self.budgets):
+            raise ConfigError(f"budgets must be positive and finite, got {self.budgets}")
         if self.validation_samples < 1:
             raise ConfigError(
                 f"validation_samples must be >= 1, got {self.validation_samples}"

@@ -106,6 +106,8 @@ class ModelStats:
         for name, arr in (("rho", rho), ("cost", cost), ("sigma", sigma)):
             if arr.shape != (k,):
                 raise ConfigError(f"{name} must have shape ({k},), got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"{name} must be finite, got {arr}")
         if np.any(np.abs(rho) > 1.0 + 1e-12):
             raise ConfigError(f"correlations must lie in [-1, 1], got {rho}")
         hf_rows = np.flatnonzero(rho == 1.0)
@@ -490,12 +492,18 @@ def _alphas(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return rho[1:] * sigma[0] / sigma[1:]
 
 
+def _require_finite(budget: float) -> None:
+    if not np.isfinite(budget):
+        raise ConfigError(f"budget must be finite, got {budget}")
+
+
 def allocate(stats: ModelStats, model_ids: Sequence[int], budget: float) -> AllocationPlan:
     """Optimal integer allocation of ``budget`` seconds over a feasible subset.
 
     Requires ``budget >= minimum_budget``; counts are the floored optimal
     real-valued allocation.
     """
+    _require_finite(budget)
     ordered, rho, cost, sigma = _subset_arrays(stats, model_ids)
     r = sample_ratios(stats, model_ids)
     denom = float(np.dot(cost, r))
@@ -533,6 +541,7 @@ def allocate_below_minimum(
     over the tail with level ``j+1`` as its reference.  Requires the budget to
     cover the fully pinned staircase ``sum_j j * cost_j``.
     """
+    _require_finite(budget)
     ordered, rho, cost, sigma = _subset_arrays(stats, model_ids)
     _require_feasible(stats, ordered)
     m = len(ordered)
@@ -586,8 +595,8 @@ def estimator_variance(stats: ModelStats, plan: AllocationPlan) -> float:
 def theoretical_mse(stats: ModelStats, model_ids: Sequence[int], budget: float) -> float:
     """Mean-squared error of the estimator at its optimal real-valued
     allocation: ``sigma1^2 * V * c1 / budget``."""
-    if budget <= 0.0:
-        raise ConfigError(f"budget must be positive, got {budget}")
+    if not 0.0 < budget < np.inf:
+        raise ConfigError(f"budget must be positive and finite, got {budget}")
     v = variance_reduction_ratio(stats, model_ids)
     return stats.sigma1**2 * v * stats.c1 / budget
 

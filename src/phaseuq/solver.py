@@ -17,13 +17,14 @@ system exchanging unknowns ``u`` (free nodes) and ``lam`` (active nodes), and
 updates the guess from the multiplier sign test until the sets are stable.
 
 The matrix of one sweep takes the columns of ``A`` at free nodes and those of
-``B`` at active nodes.  ``A`` and ``B`` share one sparsity pattern, so it is
+``B`` at active nodes.  ``A`` is stored on ``B``'s sparsity pattern, so it is
 assembled by selecting each column's data from one of them.  It is factorized
 by sparse LU with the minimum-degree ordering of ``M^T + M`` (the matrix is
-structurally symmetric, which keeps the fill about half that of COLAMD).  The
-last factorization is carried to the next call: a step starts from the active
-sets its predecessor converged on, so its first sweep reuses the LU of the
-previous step's last sweep instead of factorizing the same matrix again.
+structurally symmetric, which keeps the fill about half that of COLAMD).  A
+one-entry cache keyed by the operators and the active set carries the last
+factorization to the next call: a step starts from the active sets its
+predecessor converged on, so its first sweep reuses the LU of the previous
+step's last sweep instead of factorizing the same matrix again.
 
 The model output of interest is the mass fraction of the ``+1`` phase,
 ``0.5 * (1 + mean(u))`` over the solution block.
@@ -156,6 +157,9 @@ class SimParams:
     interaction_fill: str = "initial"
 
     def __post_init__(self) -> None:
+        for name in ("beta1", "beta2", "dt", "t_final", "solver_tol", "active_set_c"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta1 < 0.0 or self.beta2 < 0.0 or self.beta1 + self.beta2 <= 0.0:
             raise ConfigError(
                 f"beta1, beta2 must be non-negative and not both zero, "
@@ -315,28 +319,19 @@ def _step_matrices(
 ) -> tuple[sp.csc_matrix, sp.csc_matrix]:
     """Cached assembly of the operators ``A`` and ``B`` on the solution block.
 
-    Both are returned in CSC form with sorted indices on one shared pattern,
-    the union of their nonzeros, so that :func:`_masked_matrix` can pick each
-    column's data from either.
+    Both are returned in CSC form with sorted indices on ``B``'s pattern, so
+    that :func:`_masked_matrix` can pick each column's data from either.
+    ``A = I / dt + xi * B`` fits that pattern because ``B``'s diagonal is
+    positive (``beta1 + beta2 > 0``).
     """
     t1 = _neumann_laplacian_1d(n_solution)
     eye = sp.identity(n_solution, format="csr")
     lap = (sp.kron(eye, t1) + sp.kron(t1, eye)).tocsr() / h**2
-    b_mat = (beta1 * sp.identity(n_solution**2, format="csr") - beta2 * lap).tocsr()
-    a_mat = (sp.identity(n_solution**2, format="csr") / dt + xi * b_mat).tocsr()
-    pattern = abs(a_mat) + abs(b_mat)
-    return _on_pattern(a_mat, pattern), _on_pattern(b_mat, pattern)
-
-
-def _on_pattern(mat: sp.spmatrix, pattern: sp.spmatrix) -> sp.csc_matrix:
-    """``mat`` stored on ``pattern``, a superset of its nonzeros; the entries
-    outside ``mat``'s own pattern are explicit zeros."""
-    mat, pattern = mat.tocoo(), pattern.tocoo()
-    data = np.concatenate([mat.data, np.zeros(pattern.nnz)])
-    rows = np.concatenate([mat.row, pattern.row])
-    cols = np.concatenate([mat.col, pattern.col])
-    # Duplicates are summed (v + 0.0 == v) and explicit zeros kept.
-    return sp.csc_matrix((data, (rows, cols)), shape=mat.shape)
+    b_mat = (beta1 * sp.identity(n_solution**2, format="csr") - beta2 * lap).tocsc()
+    columns = np.repeat(np.arange(n_solution**2), np.diff(b_mat.indptr))
+    a_data = xi * b_mat.data + np.where(b_mat.indices == columns, 1.0 / dt, 0.0)
+    a_mat = sp.csc_matrix((a_data, b_mat.indices, b_mat.indptr), shape=b_mat.shape)
+    return a_mat, b_mat
 
 
 def _masked_matrix(
@@ -374,22 +369,24 @@ def _factorize(
     return lu
 
 
-class _Factorization(NamedTuple):
-    """A sweep's matrix and its LU, with the operators and active set it was
-    built from."""
+@lru_cache(maxsize=1)
+def _sweep_factorization(
+    n_solution: int, h: float, xi: float, beta1: float, beta2: float, dt: float,
+    active: bytes,
+) -> tuple[sp.csc_matrix, spla.SuperLU]:
+    """The matrix of one sweep and its LU, for the operators of
+    :func:`_step_matrices` with the same arguments and the active set given
+    as the bytes of a boolean mask.
 
-    operators: tuple[sp.csc_matrix, sp.csc_matrix]
-    active: np.ndarray
-    m_mat: sp.csc_matrix
-    lu: spla.SuperLU
-
-
-#: The last factorization made by :func:`time_step`, reused by a sweep with the
-#: same operators and active set (the first sweep of each step starts from the
-#: sets the previous step converged on).  One entry only: callers keep many
-#: states, and an n=128 factorization is about 8 MB.  The entry is replaced
-#: whole and read once per sweep, so a stale read only costs a factorization.
-_last_factorization: _Factorization | None = None
+    One entry only: callers keep many states, and an n=128 factorization is
+    about 8 MB.  It is what the first sweep of each step reuses, since a step
+    starts from the sets the previous step converged on.
+    """
+    a_mat, b_mat = _step_matrices(n_solution, h, xi, beta1, beta2, dt)
+    free = ~np.frombuffer(active, dtype=bool)
+    m_mat = _masked_matrix(a_mat, b_mat, free)
+    scale = 1.0 / dt + abs(xi) * (beta1 + 8.0 * beta2 / h**2)
+    return m_mat, _factorize(m_mat, scale, beta1 == 0.0 or not free.any())
 
 
 def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> StepState:
@@ -401,14 +398,11 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
         If the active sets do not stabilize within ``sim.max_sweeps`` sweeps or
         the converged linear residual exceeds ``sim.solver_tol``.
     """
-    global _last_factorization
     grid = state.grid
     if stencil.grid != grid:
         raise ConfigError("stencil was built for a different grid")
-    operators = _step_matrices(
-        grid.n_solution, grid.h, stencil.xi, sim.beta1, sim.beta2, sim.dt
-    )
-    a_mat, b_mat = operators
+    key = (grid.n_solution, grid.h, stencil.xi, sim.beta1, sim.beta2, sim.dt)
+    a_mat, b_mat = _step_matrices(*key)
     sol = grid.solution_slice
     g = convolve(stencil, state.padded).ravel()
     u_prev = state.padded[sol, sol].ravel()
@@ -416,7 +410,6 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
 
     active_pos = state.active_pos.copy()
     active_neg = state.active_neg.copy()
-    scale = 1.0 / sim.dt + abs(stencil.xi) * (sim.beta1 + 8.0 * sim.beta2 / grid.h**2)
     u = u_prev
     lam = state.multiplier
     converged = False
@@ -425,17 +418,7 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
         active = active_pos | active_neg
         free = ~active
         pinned = np.where(active_pos, 1.0, 0.0) - np.where(active_neg, 1.0, 0.0)
-        last = _last_factorization
-        if (
-            last is not None
-            and last.operators is operators
-            and np.array_equal(last.active, active)
-        ):
-            m_mat, lu = last.m_mat, last.lu
-        else:
-            m_mat = _masked_matrix(a_mat, b_mat, free)
-            lu = _factorize(m_mat, scale, sim.beta1 == 0.0 or not free.any())
-            _last_factorization = _Factorization(operators, active, m_mat, lu)
+        m_mat, lu = _sweep_factorization(*key, active.tobytes())
         rhs = rhs0 - a_mat @ pinned
         x = lu.solve(rhs)
         x += lu.solve(rhs - m_mat @ x)

@@ -71,6 +71,14 @@ _MALFORMED_STATS = {
     ),
 }
 
+#: Statistics files with non-finite numbers: name -> (text, the field its error names).
+_NON_FINITE_STATS = {
+    "rho-nan.csv": (_GOOD_STATS + "2,,,nan,0.5,0.25\n", "rho"),
+    "sigma-nan.csv": (_GOOD_STATS.replace("0.25", "nan"), "sigma"),
+    "cost-inf.csv": (_GOOD_STATS + "2,,,0.9,inf,0.25\n", "cost"),
+    "c1-inf.csv": (_GOOD_STATS.replace("=0.5", "=inf"), "cost"),
+}
+
 
 class TestStatsCsv:
     def test_round_trip_bit_exact(self, tmp_path, table_stats):
@@ -125,6 +133,9 @@ class TestStatsCsv:
         assert read_stats_csv(_write(tmp_path / "good.csv", _GOOD_STATS)).c1 == 0.5
         for name, (text, column) in _MALFORMED_STATS.items():
             with pytest.raises(ConfigError, match=f"{name}: .*{column}"):
+                read_stats_csv(_write(tmp_path / name, text))
+        for name, (text, field) in _NON_FINITE_STATS.items():
+            with pytest.raises(ConfigError, match=f"{field} must be finite"):
                 read_stats_csv(_write(tmp_path / name, text))
 
 
@@ -458,6 +469,21 @@ class TestConfigJson:
             data["models"][0][model_key] = value
             with pytest.raises(ConfigError, match=model_key):
                 CampaignConfig.from_dict(data)
+        # NaN and Infinity, JSON extensions that Python reads, are rejected
+        for section, key, value in (
+            (None, "budgets", [float("nan")]),
+            (None, "budgets", [float("inf")]),
+            ("sim", "dt", float("nan")),
+            ("sim", "beta1", float("inf")),
+            ("sim", "t_final", float("nan")),
+            ("sim", "t_final", float("inf")),
+            ("kernel", "eps2", float("nan")),
+            ("kernel", "delta_hf", float("inf")),
+        ):
+            data = json.loads(json.dumps(base))
+            (data if section is None else data[section])[key] = value
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                CampaignConfig.from_json(json.dumps(data))
         # integer budgets are JSON integers where floats are expected
         data = dict(base, budgets=[5, 10])
         assert CampaignConfig.from_dict(data).budgets == (5.0, 10.0)
@@ -703,6 +729,28 @@ class TestCliExitCodes:
             path = _write(tmp_path / name, text)
             assert main(["subsets", "--stats", str(path), "--out", str(tmp_path)]) == 2
             assert f"{name}: " in capsys.readouterr().err
+        for name, (text, field) in _NON_FINITE_STATS.items():
+            path = _write(tmp_path / name, text)
+            assert main(["subsets", "--stats", str(path), "--out", str(tmp_path)]) == 2
+            assert f"{field} must be finite" in capsys.readouterr().err
+
+        config = json.loads(desk_config().to_json())
+        for value in (float("nan"), float("inf")):
+            config["sim"]["t_final"] = value
+            path = _write(tmp_path / "t_final.json", json.dumps(config))
+            assert main(["pilot", "--config", str(path), "--out", str(tmp_path)]) == 2
+            assert "t_final must be finite" in capsys.readouterr().err
+
+        stats = _write(tmp_path / "good.csv", _GOOD_STATS)
+        absent = str(tmp_path / "absent")
+        study = ["mse-study", "--stats", absent, "--validation", absent, "--out", absent]
+        for budgets in ("nan", "5,inf"):
+            assert main(study + ["--budgets", budgets]) == 2
+            assert "budgets must be positive and finite" in capsys.readouterr().err
+        estimate = ["estimate", "--stats", str(stats), "--subset", "ids:1", "--out", absent]
+        for budget in ("inf", "nan"):
+            assert main(estimate + ["--budget", budget]) == 2
+            assert "budget must be finite" in capsys.readouterr().err
 
     def test_bad_theta_file_exits_2(self, tmp_path, micro_config, capsys):
         cfg = tmp_path / "micro.json"
@@ -717,6 +765,7 @@ class TestCliExitCodes:
             {"mu": mu},  # missing key
             {"mu": ["0.95"] * 4, "eta": eta},  # string numbers
             {"mu": [True] * 4, "eta": eta},  # booleans
+            {"mu": [float("nan")] * 4, "eta": eta},  # NaN, written as a JSON extension
         ]
         paths = [
             tmp_path / "absent.json",

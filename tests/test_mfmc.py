@@ -66,6 +66,14 @@ class TestModelStats:
             make_stats([1.0, 1.1], [1, 0.1], [1, 1])  # correlation out of range
         with pytest.raises(ConfigError):
             make_stats([1.0, 0.9], [1, 0.1], [1, 1], ids=(1, 1))  # duplicate ids
+        for rho, cost, sigma, name in (
+            ([1.0, np.nan], [1, 0.1], [1, 1], "rho"),
+            ([1.0, 0.9], [1, np.inf], [1, 1], "cost"),
+            ([1.0, 0.9], [1, 0.1], [1, np.nan], "sigma"),
+            ([1.0, 0.9], [1, 0.1], [np.inf, 1], "sigma"),
+        ):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                make_stats(rho, cost, sigma)
 
     def test_hf_detection(self, table_stats):
         assert table_stats.hf_id == 1

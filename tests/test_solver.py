@@ -403,14 +403,14 @@ class TestFactorizationReuse:
         st, sim, _ = desk_operators(9)
         counter = CountingSparseLinalg(solver.spla)
         monkeypatch.setattr(solver, "spla", counter)
-        monkeypatch.setattr(solver, "_last_factorization", None)
+        solver._sweep_factorization.cache_clear()
         states, factorizations = [], []
 
         def record(state):
             states.append(state)
             factorizations.append(len(counter.matrices))
             if clear_every_step:
-                solver._last_factorization = None
+                solver._sweep_factorization.cache_clear()
 
         run_simulation(st.grid, st, ASYM_THETA, sim, on_step=record)
         per_step = np.diff(factorizations)
@@ -441,12 +441,13 @@ class TestFactorizationReuse:
             assert a.sweeps == b.sweeps and a.residual == b.residual
 
 
-OPERATOR_CASES = {
-    "desk": desk_operators(9)[2],
-    "desk-n32": desk_operators(1)[2],
-    "beta2=0": desk_operators(9, beta2=0.0)[2],
-    "beta1=0": desk_operators(9, beta1=0.0)[2],
+OPERATOR_DETAILS = {
+    "desk": desk_operators(9),
+    "desk-n32": desk_operators(1),
+    "beta2=0": desk_operators(9, beta2=0.0),
+    "beta1=0": desk_operators(9, beta1=0.0),
 }
+OPERATOR_CASES = {case: details[2] for case, details in OPERATOR_DETAILS.items()}
 
 
 class TestMaskedAssembly:
@@ -458,6 +459,17 @@ class TestMaskedAssembly:
         np.testing.assert_array_equal(a_mat.indptr, b_mat.indptr)
         np.testing.assert_array_equal(a_mat.indices, b_mat.indices)
         assert np.all(a_mat.data != 0.0) and np.all(b_mat.data != 0.0)
+
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES) + ["xi=0"])
+    def test_a_is_identity_over_dt_plus_xi_b(self, case):
+        if case == "xi=0":
+            xi, dt = 0.0, 0.01
+            a_mat, b_mat = solver._step_matrices(9, 1.0 / 8, xi, 1.0, 0.05, dt)
+        else:
+            st, sim, (a_mat, b_mat) = OPERATOR_DETAILS[case]
+            xi, dt = st.xi, sim.dt
+        eye = np.eye(a_mat.shape[0])
+        np.testing.assert_array_equal(a_mat.toarray(), eye / dt + xi * b_mat.toarray())
 
     def test_degenerate_operators_are_padded_to_a_shared_pattern(self):
         # With xi = 0, A = I / dt has no off-diagonal nonzeros; it is stored
