@@ -17,7 +17,7 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
-from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import numpy.typing as npt
@@ -359,7 +359,7 @@ def _evaluate_task(payload):
     model, family, sim, seed, tag, index = payload
     theta = SampleStream(seed, tag).theta(index)
     evaluation = evaluate_model(model, theta, family, sim)
-    return index, evaluation.value, evaluation.seconds
+    return evaluation.value, evaluation.seconds
 
 
 class EvalEngine:
@@ -367,8 +367,11 @@ class EvalEngine:
 
     Every ``(model_id, tag, index)`` triple is evaluated at most once per
     engine; results are cached so nested sample sets and repeated study
-    points reuse work.  With ``workers > 1`` a process pool evaluates missing
-    entries in parallel (results are identical to serial evaluation).
+    points reuse work.  A command hands the engine its whole sample set
+    through :meth:`prefetch`, which computes every missing entry in one pass,
+    largest grids first, so that with ``workers > 1`` the process pool is
+    never drained between models or streams and the cheapest evaluations
+    fill its tail.  Results are identical to serial evaluation in any order.
     """
 
     def __init__(self, config: CampaignConfig):
@@ -393,33 +396,36 @@ class EvalEngine:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
+    def prefetch(self, requests: Iterable[tuple[int, str, int]]) -> None:
+        """Compute, in one pass, every uncached address that the
+        ``(model_id, tag, count)`` requests name (indices ``0..count-1``)."""
+        config = self.config
+        payloads = {}
+        for model_id, tag, count in requests:
+            model = config.model(model_id)
+            family = config.kernel_for(model)
+            for i in range(count):
+                if (model_id, tag, i) not in self._cache:
+                    payloads[(model_id, tag, i)] = (
+                        model, family, config.sim, config.master_seed, tag, i
+                    )
+        if not payloads:
+            return
+        # Longest first: the cost of an evaluation grows with its grid.
+        order = sorted(payloads, key=lambda address: -payloads[address][0].n_interior)
+        logger.info("evaluating %d new samples in one pass", len(order))
+        tasks = [payloads[address] for address in order]
+        if self.workers > 1 and len(tasks) > 1:
+            results = self._executor().map(_evaluate_task, tasks)
+        else:
+            results = map(_evaluate_task, tasks)
+        self._cache.update(zip(order, results))
+
     def evaluate(self, model_id: int, tag: str, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Values and per-evaluation seconds for stream indices ``0..count-1``."""
-        model = self.config.model(model_id)
-        family = self.config.kernel_for(model)
-        sim = self.config.sim
-        seed = self.config.master_seed
-        missing = [
-            i for i in range(count) if (model_id, tag, i) not in self._cache
-        ]
-        if missing:
-            logger.info(
-                "evaluating model %d: %d new samples (stream %r)",
-                model_id,
-                len(missing),
-                tag,
-            )
-            payloads = [(model, family, sim, seed, tag, i) for i in missing]
-            if self.workers > 1 and len(missing) > 1:
-                chunk = max(1, len(missing) // (4 * self.workers))
-                results = self._executor().map(_evaluate_task, payloads, chunksize=chunk)
-            else:
-                results = map(_evaluate_task, payloads)
-            for index, value, seconds in results:
-                self._cache[(model_id, tag, index)] = (value, seconds)
-        values = np.array([self._cache[(model_id, tag, i)][0] for i in range(count)])
-        seconds = np.array([self._cache[(model_id, tag, i)][1] for i in range(count)])
-        return values, seconds
+        self.prefetch([(model_id, tag, count)])
+        cached = [self._cache[(model_id, tag, i)] for i in range(count)]
+        return np.array([v for v, _ in cached]), np.array([s for _, s in cached])
 
 
 def run_pilot(engine: EvalEngine) -> PilotResult:
@@ -427,6 +433,7 @@ def run_pilot(engine: EvalEngine) -> PilotResult:
     config = engine.config
     tag = pilot_stream(config.master_seed).tag
     ids = [m.model_id for m in config.models]
+    engine.prefetch([(model_id, tag, config.pilot_samples) for model_id in ids])
     values = []
     seconds = []
     for model_id in ids:
@@ -484,6 +491,7 @@ def build_plan(
 
 def run_estimate(engine: EvalEngine, plan: AllocationPlan, tag: str) -> EstimationResult:
     """Evaluate the models a plan asks for and combine them into an estimate."""
+    engine.prefetch([(m, tag, int(n)) for m, n in zip(plan.model_ids, plan.samples)])
     values: dict[int, np.ndarray] = {}
     cost = 0.0
     for j, model_id in enumerate(plan.model_ids):
@@ -510,9 +518,9 @@ def run_mse_study(
         raise ConfigError("the study needs at least one budget")
     if config.replicates < 2:
         raise ConfigError("the study needs at least 2 replicates")
-    rows: list[StudyRow] = []
     resolved = [(case, resolve_case(stats, case)) for case in config.cases]
     resolved.append(("mc", resolve_case(stats, f"ids:{HF_MODEL_ID}")))
+    points = []
     for case, candidate in resolved:
         for budget in config.budgets:
             plan = build_plan(stats, candidate, budget)
@@ -523,25 +531,30 @@ def run_mse_study(
                     budget,
                     candidate.b_min,
                 )
-            estimates = []
-            costs = []
-            for rep in range(config.replicates):
-                tag = replicate_stream(config.master_seed, rep).tag
-                result = run_estimate(engine, plan, tag)
-                estimates.append(result.value)
-                costs.append(result.realized_cost)
-            rows.append(
-                StudyRow(
-                    case=case,
-                    model_ids=plan.model_ids,
-                    budget=float(budget),
-                    samples=tuple(int(s) for s in plan.samples),
-                    below_minimum=plan.below_minimum,
-                    estimates=tuple(estimates),
-                    empirical_mse=empirical_mse(estimates, reference),
-                    theoretical_mse=theoretical_mse(stats, plan.model_ids, budget),
-                    plan_mse=estimator_variance(stats, plan),
-                    mean_realized_cost=float(np.mean(costs)),
-                )
+            points.append((case, budget, plan))
+    tags = [replicate_stream(config.master_seed, rep).tag for rep in range(config.replicates)]
+    engine.prefetch(
+        (model_id, tag, int(count))
+        for _, _, plan in points
+        for tag in tags
+        for model_id, count in zip(plan.model_ids, plan.samples)
+    )
+    rows: list[StudyRow] = []
+    for case, budget, plan in points:
+        results = [run_estimate(engine, plan, tag) for tag in tags]
+        estimates = [result.value for result in results]
+        rows.append(
+            StudyRow(
+                case=case,
+                model_ids=plan.model_ids,
+                budget=float(budget),
+                samples=tuple(int(s) for s in plan.samples),
+                below_minimum=plan.below_minimum,
+                estimates=tuple(estimates),
+                empirical_mse=empirical_mse(estimates, reference),
+                theoretical_mse=theoretical_mse(stats, plan.model_ids, budget),
+                plan_mse=estimator_variance(stats, plan),
+                mean_realized_cost=float(np.mean([r.realized_cost for r in results])),
             )
+        )
     return StudyResult(rows=tuple(rows), reference=reference)

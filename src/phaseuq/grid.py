@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import convolve as _convolve2d
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import ConfigError, DegenerateStencilError
 
@@ -51,14 +51,14 @@ class KernelParams:
     Attributes
     ----------
     eps2:
-        Interface-energy coefficient (``epsilon**2``); must be positive.
+        Interface-energy coefficient (``epsilon**2``); positive and finite.
     delta_hf:
         Interaction radius that fixes the Gaussian shape parameter
         ``a = delta_hf / 3``; shared across a model family.
     delta:
         Truncation radius of this particular model, ``0 < delta <= delta_hf``.
     c_f:
-        Height of the double-obstacle potential well; must be positive.
+        Height of the double-obstacle potential well; positive and finite.
     """
 
     eps2: float = 0.00178
@@ -67,17 +67,17 @@ class KernelParams:
     c_f: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.eps2 > 0.0:
-            raise ConfigError(f"eps2 must be positive, got {self.eps2}")
-        if not self.delta_hf > 0.0:
-            raise ConfigError(f"delta_hf must be positive, got {self.delta_hf}")
+        if not 0.0 < self.eps2 < math.inf:
+            raise ConfigError(f"eps2 must be positive and finite, got {self.eps2}")
+        if not 0.0 < self.delta_hf < math.inf:
+            raise ConfigError(f"delta_hf must be positive and finite, got {self.delta_hf}")
         if not 0.0 < self.delta <= self.delta_hf * (1.0 + _CUTOFF_RTOL):
             raise ConfigError(
                 f"delta must satisfy 0 < delta <= delta_hf, got delta={self.delta} "
                 f"with delta_hf={self.delta_hf}"
             )
-        if not self.c_f > 0.0:
-            raise ConfigError(f"c_f must be positive, got {self.c_f}")
+        if not 0.0 < self.c_f < math.inf:
+            raise ConfigError(f"c_f must be positive and finite, got {self.c_f}")
 
     @property
     def shape_radius(self) -> float:
@@ -285,8 +285,12 @@ def convolve(stencil: ConvolutionStencil, padded: np.ndarray) -> np.ndarray:
     """
     padded = _check_field(stencil, padded)
     grid = stencil.grid
-    full = _convolve2d(padded, stencil.patch, mode="valid", method="auto")
-    lo = grid.pad - stencil.radius_cells
+    # The full linear convolution by the arithmetic of ``scipy.signal.fftconvolve``
+    # (so results match it bit for bit); the solution block starts at
+    # ``pad + radius`` in it.
+    fshape = [next_fast_len(n, True) for n in np.add(padded.shape, stencil.patch.shape) - 1]
+    full = irfftn(rfftn(padded, fshape) * rfftn(stencil.patch, fshape), fshape)
+    lo = grid.pad + stencil.radius_cells
     return np.ascontiguousarray(
         full[lo : lo + grid.n_solution, lo : lo + grid.n_solution]
     )

@@ -113,8 +113,8 @@ class ModelSpec:
             raise ConfigError(f"model_id must be >= 1, got {self.model_id}")
         if self.n_interior < 1:
             raise ConfigError(f"n_interior must be >= 1, got {self.n_interior}")
-        if not self.delta > 0.0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < np.inf:
+            raise ConfigError(f"delta must be positive and finite, got {self.delta}")
 
     @property
     def h(self) -> float:

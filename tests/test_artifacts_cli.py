@@ -36,6 +36,7 @@ from phaseuq import (
     replicate_stream,
     run_mse_study,
 )
+from phaseuq import campaign
 from phaseuq.artifacts import (
     parse_subset_label,
     read_field_csv,
@@ -539,6 +540,47 @@ class TestEvalEngine:
         with EvalEngine(replace(micro_config, workers=2)) as parallel:
             got, _ = parallel.evaluate(3, "pilot", 4)
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_prefetch_matches_per_call_evaluate(self, micro_config, workers):
+        rep = replicate_stream(micro_config.master_seed, 0).tag
+        requests = [(3, "pilot", 4), (3, "pilot", 6), (1, rep, 2), (2, "pilot", 3), (3, "pilot", 2)]
+        with EvalEngine(micro_config) as fresh:
+            expected = [fresh.evaluate(*request) for request in requests]
+        with EvalEngine(replace(micro_config, workers=workers)) as engine:
+            engine.prefetch(requests)
+            for request, (values, _) in zip(requests, expected):
+                got, seconds = engine.evaluate(*request)
+                np.testing.assert_array_equal(got, values)
+                assert seconds.shape == values.shape
+
+    def test_study_computes_exactly_its_rows(self, micro_config, monkeypatch):
+        calls = []
+        evaluate_task = campaign._evaluate_task
+
+        def counted(payload):
+            calls.append(payload)
+            return evaluate_task(payload)
+
+        monkeypatch.setattr(campaign, "_evaluate_task", counted)
+        stats = ModelStats(
+            ids=(1, 2, 3),
+            rho=np.array([1.0, 0.99, 0.9]),
+            cost=np.array([0.3, 0.05, 0.01]),
+            sigma=np.array([0.02, 0.019, 0.018]),
+        )
+        config = replace(micro_config, cases=("min-V", "ids:1+3"), budgets=(0.5, 1.0, 2.0))
+        with EvalEngine(config) as engine:
+            study = run_mse_study(engine, stats, reference=0.5)
+            used = {
+                (model_id, replicate_stream(config.master_seed, rep).tag, i)
+                for row in study.rows
+                for rep in range(config.replicates)
+                for model_id, count in zip(row.model_ids, row.samples)
+                for i in range(count)
+            }
+            assert set(engine._cache) == used
+        assert len(calls) == len(used)
 
 
 def _find_artifact(out_dir, command, name):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import phaseuq
 from oracles import naive_convolution, naive_kernel
 from phaseuq import (
     ConfigError,
@@ -17,6 +21,7 @@ from phaseuq import (
     build_grid,
     build_stencil,
     convolve,
+    desk_config,
     kernel_value,
 )
 
@@ -70,6 +75,16 @@ class TestKernel:
             KernelParams(delta=0.0)
         with pytest.raises(ConfigError):
             KernelParams(c_f=0.0)
+        inf = float("inf")
+        for kwargs in (
+            {"eps2": inf},
+            {"delta_hf": inf},
+            {"delta_hf": inf, "delta": inf},
+            {"delta": inf},
+            {"c_f": inf},
+        ):
+            with pytest.raises(ConfigError, match=next(iter(kwargs))):
+                KernelParams(**kwargs)
 
 
 class TestGrid:
@@ -190,6 +205,25 @@ class TestConvolution:
         padded = rng.uniform(-1.0, 1.0, (grid.n_side, grid.n_side))
         expected = naive_convolution(padded, 8, grid.pad, 0.00178, 0.25, 0.125)
         np.testing.assert_allclose(convolve(st, padded), expected, rtol=1e-13, atol=1e-15)
+
+    def test_matches_scipy_signal_on_desk_models(self):
+        from scipy import signal
+
+        rng = np.random.default_rng(13)
+        config = desk_config()
+        for model in config.models:
+            kernel = config.kernel_for(model)
+            st = build_stencil(build_grid(model.n_interior, kernel.delta_hf), kernel)
+            lo, n = st.grid.pad - st.radius_cells, st.grid.n_solution
+            for _ in range(3):
+                padded = rng.uniform(-1.0, 1.0, (st.grid.n_side, st.grid.n_side))
+                full = signal.convolve(padded, st.patch, mode="valid")
+                np.testing.assert_array_equal(convolve(st, padded), full[lo : lo + n, lo : lo + n])
+
+    def test_import_leaves_scipy_signal_out(self):
+        check = "import sys, phaseuq, phaseuq.cli; sys.exit('scipy.signal' in sys.modules)"
+        src = str(Path(phaseuq.__file__).resolve().parents[1])
+        assert subprocess.run([sys.executable, "-c", check], cwd=src).returncode == 0
 
     def test_constant_field_gives_kernel_mass(self):
         grid = build_grid(12, 0.25)

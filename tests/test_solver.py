@@ -62,8 +62,9 @@ class TestParams:
             ModelSpec(model_id=0, n_interior=8, delta=0.25)
         with pytest.raises(ConfigError):
             ModelSpec(model_id=1, n_interior=0, delta=0.25)
-        with pytest.raises(ConfigError):
-            ModelSpec(model_id=1, n_interior=8, delta=0.0)
+        for delta in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="delta must be positive and finite"):
+                ModelSpec(model_id=1, n_interior=8, delta=delta)
         assert ModelSpec(model_id=1, n_interior=8, delta=0.25).h == 0.125
 
     def test_sim_params_validation(self):
