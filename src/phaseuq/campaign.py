@@ -23,7 +23,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import ConfigError, InsufficientBudgetError
-from .grid import KernelParams
+from .grid import KernelParams, cached_stencil
 from .mfmc import (
     AllocationPlan,
     EstimationResult,
@@ -40,7 +40,7 @@ from .mfmc import (
     theoretical_mse,
 )
 from .sampling import SampleStream, pilot_stream, replicate_stream, validation_stream
-from .solver import ModelSpec, SimParams, evaluate_model
+from .solver import ModelSpec, SimParams, check_well_posed, evaluate_model
 
 __all__ = [
     "HF_MODEL_ID",
@@ -398,16 +398,29 @@ class EvalEngine:
 
     def prefetch(self, requests: Iterable[tuple[int, str, int]]) -> None:
         """Compute, in one pass, every uncached address that the
-        ``(model_id, tag, count)`` requests name (indices ``0..count-1``)."""
+        ``(model_id, tag, count)`` requests name (indices ``0..count-1``).
+
+        Raises :class:`ConfigError` before any evaluation if a requested
+        model's time step is ill-posed (see :func:`check_well_posed`).
+        """
         config = self.config
+        sim = config.sim
         payloads = {}
         for model_id, tag, count in requests:
             model = config.model(model_id)
             family = config.kernel_for(model)
+            stencil = cached_stencil(
+                model.n_interior, family.eps2, family.delta_hf, model.delta, family.c_f
+            )
+            grid = stencil.grid
+            check_well_posed(
+                f"model {model_id}", grid.n_solution, grid.h, stencil.xi,
+                sim.beta1, sim.beta2, sim.dt,
+            )
             for i in range(count):
                 if (model_id, tag, i) not in self._cache:
                     payloads[(model_id, tag, i)] = (
-                        model, family, config.sim, config.master_seed, tag, i
+                        model, family, sim, config.master_seed, tag, i
                     )
         if not payloads:
             return

@@ -783,6 +783,13 @@ class TestCliExitCodes:
             assert main(["pilot", "--config", str(path), "--out", str(tmp_path)]) == 2
             assert "t_final must be finite" in capsys.readouterr().err
 
+        # Ill-posed reference models are rejected before any evaluation.
+        reference = ["--config", "reference", "--out", str(tmp_path / "reference")]
+        assert main(["pilot", *reference]) == 2
+        assert "model 5 has an ill-posed time step" in capsys.readouterr().err
+        assert main(["simulate", *reference, "--model", "9"]) == 2
+        assert "n_interior=64 model with xi=-0.0881 has an ill-posed" in capsys.readouterr().err
+
         stats = _write(tmp_path / "good.csv", _GOOD_STATS)
         absent = str(tmp_path / "absent")
         study = ["mse-study", "--stats", absent, "--validation", absent, "--out", absent]

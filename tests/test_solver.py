@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.ndimage import label
@@ -20,12 +22,14 @@ from phaseuq import (
     SimParams,
     build_grid,
     build_stencil,
+    check_well_posed,
     convolve,
     desk_config,
     evaluate_model,
     initial_condition,
     initial_state,
     mass_fraction,
+    reference_config,
     run_simulation,
     time_step,
 )
@@ -369,13 +373,70 @@ class TestRunAndEvaluate:
         with pytest.raises(ConvergenceError):
             time_step(state, st, sim)
 
+    def test_nan_solve_raises_convergence_error(self, monkeypatch):
+        # A NaN solution gives a NaN residual, which compares false with any
+        # tolerance; the step must still fail rather than return NaN state.
+        class NanFactor:
+            def solve(self, rhs):
+                return np.full_like(rhs, np.nan)
+
+        grid = build_grid(8, 0.25)
+        st = build_stencil(grid, FAMILY)
+        sim = SimParams(t_final=0.01, dt=0.01)
+        monkeypatch.setattr(solver, "_factorize", lambda *args: NanFactor())
+        solver._sweep_factorization.cache_clear()
+        try:
+            with pytest.raises(ConvergenceError, match="residual nan exceeds"):
+                time_step(pure_state(grid, 0.5), st, sim)
+        finally:
+            solver._sweep_factorization.cache_clear()
+
+
+def model_stencil(config, model):
+    """The cached stencil of one model of ``config``."""
+    family = config.kernel_for(model)
+    return cached_stencil(model.n_interior, family.eps2, family.delta_hf, model.delta, family.c_f)
+
+
+class TestWellPosedness:
+    def ill_posed(self, config) -> dict[int, str]:
+        """The message of each model of ``config`` that the check rejects."""
+        sim, messages = config.sim, {}
+        for model in config.models:
+            st = model_stencil(config, model)
+            try:
+                check_well_posed(
+                    f"model {model.model_id}", st.grid.n_solution, st.grid.h, st.xi,
+                    sim.beta1, sim.beta2, sim.dt,
+                )
+            except ConfigError as exc:
+                messages[model.model_id] = str(exc)
+        return messages
+
+    def test_flags_exactly_the_delta_0125_reference_models(self):
+        assert self.ill_posed(desk_config()) == {}
+        messages = self.ill_posed(reference_config())
+        assert sorted(messages) == [5, 6, 9]
+        for model_id, a_min, dt_max in ((5, "-457", "0.001795"), (6, "-162.8", "0.003805"),
+                                        (9, "-44.34", "0.006928")):
+            assert messages[model_id].startswith(f"model {model_id} has an ill-posed")
+            assert f"= {a_min} <= 0" in messages[model_id]
+            assert f"dt must be below {dt_max}" in messages[model_id]
+
+    def test_ill_posed_step_raises_before_solving(self):
+        # Reference model 9 (n=64, delta=0.125) used to cycle through
+        # max_sweeps and raise ConvergenceError at t=0.01.
+        config = reference_config()
+        st = model_stencil(config, config.model(9))
+        state = initial_state(st.grid, ASYM_THETA, config.sim)
+        with pytest.raises(ConfigError, match="n_interior=64 model .* ill-posed"):
+            time_step(state, st, config.sim)
+
 
 def desk_operators(model_id: int, **sim_changes):
     """The desk model's stencil, step settings and cached ``(A, B)``."""
     config = desk_config()
-    model = config.model(model_id)
-    family = config.kernel_for(model)
-    st = cached_stencil(model.n_interior, family.eps2, family.delta_hf, model.delta, family.c_f)
+    st = model_stencil(config, config.model(model_id))
     sim = replace(config.sim, **sim_changes)
     grid = st.grid
     operators = solver._step_matrices(
@@ -384,38 +445,28 @@ def desk_operators(model_id: int, **sim_changes):
     return st, sim, operators
 
 
-class CountingSparseLinalg:
-    """Stands in for the solver's ``spla`` and records each matrix it factorizes."""
-
-    def __init__(self, module):
-        self._module = module
-        self.matrices = []
-
-    def splu(self, matrix, **kwargs):
-        self.matrices.append(matrix.copy())
-        return self._module.splu(matrix, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._module, name)
-
-
 class TestFactorizationReuse:
     def run(self, monkeypatch, clear_every_step: bool):
         st, sim, _ = desk_operators(9)
-        counter = CountingSparseLinalg(solver.spla)
-        monkeypatch.setattr(solver, "spla", counter)
+        factorize, matrices = solver._factorize, []
+
+        def counting_factorize(m_mat, scale, check_singular):
+            matrices.append(m_mat.copy())
+            return factorize(m_mat, scale, check_singular)
+
+        monkeypatch.setattr(solver, "_factorize", counting_factorize)
         solver._sweep_factorization.cache_clear()
         states, factorizations = [], []
 
         def record(state):
             states.append(state)
-            factorizations.append(len(counter.matrices))
+            factorizations.append(len(matrices))
             if clear_every_step:
                 solver._sweep_factorization.cache_clear()
 
         run_simulation(st.grid, st, ASYM_THETA, sim, on_step=record)
         per_step = np.diff(factorizations)
-        return states, per_step, counter.matrices
+        return states, per_step, matrices
 
     def test_step_boundary_reuses_the_last_factorization(self, monkeypatch):
         states, per_step, matrices = self.run(monkeypatch, clear_every_step=False)
@@ -499,3 +550,57 @@ class TestMaskedAssembly:
         np.testing.assert_array_equal(selected.indptr, summed.indptr)
         np.testing.assert_array_equal(selected.indices, summed.indices)
         np.testing.assert_array_equal(selected.data, summed.data)
+
+
+def sweep_key(case):
+    """The :func:`solver._sweep_factorization` operator key of a case."""
+    if case == "xi=0":
+        return (9, 1.0 / 8, 0.0, 1.0, 0.05, 0.01)
+    st, sim, _ = OPERATOR_DETAILS[case]
+    return (st.grid.n_solution, st.grid.h, st.xi, sim.beta1, sim.beta2, sim.dt)
+
+
+class TestFactorizationBackends:
+    def factorizations(self, monkeypatch, key, free):
+        """The sweep matrix with its band LU and its sparse LU."""
+        active = (~free).tobytes()
+        solver._sweep_factorization.cache_clear()
+        m_mat, band = solver._sweep_factorization(*key, active)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_BAND_LU_MAX_N_SOLUTION", 0)
+            solver._sweep_factorization.cache_clear()
+            _, sparse = solver._sweep_factorization(*key, active)
+        solver._sweep_factorization.cache_clear()
+        return m_mat, band, sparse
+
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES) + ["xi=0"])
+    def test_band_and_sparse_lu_agree(self, monkeypatch, case):
+        key = sweep_key(case)
+        n_solution, h, xi, beta1, beta2, dt = key
+        rng = np.random.default_rng(17)
+        for free_fraction in (0.0, 0.3, 0.7, 1.0):
+            free = rng.random(n_solution**2) < free_fraction
+            m_mat, band, sparse = self.factorizations(monkeypatch, key, free)
+            assert isinstance(band, solver._BandLU) and isinstance(sparse, spla.SuperLU)
+            rhs = rng.standard_normal(n_solution**2)
+            x_band, x_sparse = band.solve(rhs), sparse.solve(rhs)
+            gap = np.linalg.norm(x_band - x_sparse) / np.linalg.norm(x_sparse)
+            if beta1 > 0.0 or free.any():
+                assert gap <= 1e-12
+                continue
+            # B alone is singular, so both regularize with the same shift.
+            # The shifted system's condition number is about 1e10, so the two
+            # agree only to about 1e-8, but each solves it to round-off.
+            shift = 1e-10 * (1.0 / dt + abs(xi) * (beta1 + 8.0 * beta2 / h**2))
+            shifted = (m_mat + shift * sp.identity(n_solution**2)).toarray()
+            for x in (x_band, x_sparse):
+                backward = np.abs(shifted @ x - rhs).max()
+                assert backward <= 1e-14 * np.abs(shifted).sum(axis=1).max() * np.abs(x).max()
+            assert gap <= 1e-6
+
+    def test_band_lu_up_to_n_solution_65(self):
+        for n_solution, backend in ((65, solver._BandLU), (66, spla.SuperLU)):
+            a_mat, _ = solver._step_matrices(
+                n_solution, 1.0 / (n_solution - 1), 0.02, 1.0, 0.05, 0.01
+            )
+            assert isinstance(solver._factorize(a_mat, 100.0, False), backend)
