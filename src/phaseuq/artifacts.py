@@ -5,15 +5,19 @@ artifact reproduces the in-memory values bit for bit.  Run directory names are
 content hashes of the configuration, never timestamps: re-running a command
 with the same configuration overwrites the same artifacts.
 
-The plan, estimate, validation and study files, and theta files of explicit
-inputs, are their dataclasses (``AllocationPlan``, ``EstimationResult``,
-``ValidationResult``, ``StudyResult``, ``RandomInputs``) written by
-:func:`write_json` and read by :func:`read_json` through the configuration's
-codec (:func:`phaseuq.campaign._encode` and ``_decode``): JSON keys are the
-field names except where its key table says otherwise, and the reader rejects
+``config.json``, the plan, estimate, validation and study files, and theta
+files of explicit inputs are their dataclasses (``CampaignConfig``,
+``AllocationPlan``, ``EstimationResult``, ``ValidationResult``,
+``StudyResult``, ``RandomInputs``) written by :func:`write_json` and read by
+:func:`read_json` through one codec, :func:`encode` and :func:`decode`.  JSON
+keys are the field names, except where a field's metadata says otherwise:
+``json_key`` renames the field, and ``json_copy_of`` leaves it out of the
+file and reads it back as a copy of the named field.  The reader rejects
 unknown or missing keys and values of the wrong JSON type.  ``stats.csv``,
 ``subsets.csv`` and ``pilot.json`` are written by hand, because they hold
-derived columns (cost ratios to ``c1``, ranks) rather than a dataclass's fields.
+derived columns (cost ratios to ``c1``, ranks) rather than a dataclass's
+fields.  An input file that is missing, a directory, or not UTF-8 text raises
+:class:`ConfigError` naming it.
 """
 
 from __future__ import annotations
@@ -21,22 +25,27 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Sequence, TypeVar
+from types import UnionType
+from typing import (
+    TYPE_CHECKING,
+    Mapping,
+    Sequence,
+    TypeVar,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
+import numpy.typing as npt
 
-from .campaign import (
-    CampaignConfig,
-    PilotResult,
-    StudyResult,
-    StudyRow,
-    _decode,
-    _encode,
-    _json_fields,
-)
 from .errors import ConfigError
 from .mfmc import ModelStats, SubsetCandidate
+
+if TYPE_CHECKING:
+    from .campaign import CampaignConfig, PilotResult, StudyResult
 
 __all__ = [
     "run_id",
@@ -52,6 +61,88 @@ __all__ = [
     "read_field_csv",
 ]
 
+#: JSON values accepted for each scalar type; a bool is never a number.
+_JSON_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+#: Array annotations the codec reads, with the scalar type of their elements.
+_JSON_ARRAYS = {np.ndarray: float, npt.NDArray[np.int64]: int}
+
+
+def json_fields(cls) -> list:
+    """The written fields of a dataclass, with their JSON keys."""
+    return [
+        (f, f.metadata.get("json_key", f.name))
+        for f in fields(cls)
+        if "json_copy_of" not in f.metadata
+    ]
+
+
+def encode(value):
+    """A dataclass, tuple, array or scalar as the JSON value it is written as."""
+    if is_dataclass(value):
+        return {key: encode(getattr(value, f.name)) for f, key in json_fields(type(value))}
+    if isinstance(value, tuple):
+        return [encode(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def decode(hint, value, where: str):
+    """A JSON value as an instance of the annotated type ``hint``: a
+    dataclass, an ``X | None``, a ``tuple[X, ...]``, an array of one of
+    ``_JSON_ARRAYS`` from a list or a rectangular nest of lists, or ``bool``,
+    ``int``, ``float`` or ``str``, each from its own JSON type; a ``float``
+    must be finite."""
+    if is_dataclass(hint):
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+        written = json_fields(hint)
+        unknown = set(value) - {key for _, key in written}
+        if unknown:
+            raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        hints = get_type_hints(hint)
+        kwargs = {}
+        for f, key in written:
+            if key in value:
+                kwargs[f.name] = decode(hints[f.name], value[key], key)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing key {key!r} in {where}")
+        for f in fields(hint):
+            source = f.metadata.get("json_copy_of")
+            if source is not None:
+                kwargs[f.name] = kwargs.get(source, getattr(hint, source))
+        return hint(**kwargs)
+    if isinstance(hint, UnionType):
+        (inner,) = set(get_args(hint)) - {type(None)}
+        return None if value is None else decode(inner, value, where)
+    if hint in _JSON_ARRAYS:
+        if isinstance(value, list) and value and all(isinstance(v, list) for v in value):
+            rows = [decode(hint, v, where) for v in value]
+            if len({row.shape for row in rows}) > 1:
+                raise ConfigError(f"{where} must be a rectangular array, got ragged rows")
+            return np.array(rows)
+        item = _JSON_ARRAYS[hint]
+        try:
+            return np.array(decode(tuple[item, ...], value, where), dtype=item)
+        except OverflowError:
+            raise ConfigError(f"{where} is too large for an array of {item.__name__}") from None
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
+        return tuple(decode(get_args(hint)[0], item, where) for item in value)
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, _JSON_SCALARS[hint]):
+        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+    try:
+        result = hint(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a {hint.__name__}") from None
+    if hint is float and not np.isfinite(result):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return result
+
 
 def _fmt(value: float) -> str:
     return repr(float(value))
@@ -61,6 +152,16 @@ def _prepare(path: Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _read_text(path: Path) -> str:
+    """The text of an input file, or a :class:`ConfigError` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {path}: it is not UTF-8 text") from None
 
 
 def run_id(command: str, config: CampaignConfig) -> str:
@@ -108,10 +209,7 @@ def write_stats_csv(path: Path, stats: ModelStats) -> None:
 
 
 def read_stats_csv(path: Path) -> ModelStats:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"statistics file {path} does not exist")
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or not lines[0].startswith("# c1_seconds="):
         raise ConfigError(f"{path} is missing the '# c1_seconds=' header")
 
@@ -172,11 +270,8 @@ def write_subsets_csv(path: Path, candidates: Sequence[SubsetCandidate], c1: flo
 
 
 def read_subsets_csv(path: Path) -> list[dict]:
-    path = Path(path)
-    with path.open() as fh:
-        rows = list(csv.DictReader(fh))
     out = []
-    for row in rows:
+    for row in csv.DictReader(_read_text(path).splitlines()):
         out.append(
             {
                 "rank": int(row["rank"]),
@@ -196,7 +291,7 @@ def _dump_json(path: Path, data: dict) -> None:
 
 def write_json(path: Path, obj) -> None:
     """A dataclass instance as a JSON file of its fields."""
-    _dump_json(path, _encode(obj))
+    _dump_json(path, encode(obj))
 
 
 _T = TypeVar("_T")
@@ -204,14 +299,11 @@ _T = TypeVar("_T")
 
 def read_json(path: Path, cls: type[_T]) -> _T:
     """The instance of dataclass ``cls`` held by a JSON file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{path} does not exist")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    return _decode(cls, data, str(path))
+    return decode(cls, data, str(path))
 
 
 def write_pilot_json(path: Path, result: PilotResult) -> None:
@@ -240,11 +332,12 @@ def write_study_csv(path: Path, study: StudyResult) -> None:
     """Error study table: one row per (case, budget), without the replicate
     estimates."""
     path = _prepare(path)
-    header = [key for _, key in _json_fields(StudyRow) if key != "estimates"]
+    row_type = get_args(get_type_hints(type(study))["rows"])[0]
+    header = [key for _, key in json_fields(row_type) if key != "estimates"]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in map(_encode, study.rows):
+        for row in map(encode, study.rows):
             writer.writerow([_csv_cell(row[key]) for key in header])
 
 
@@ -255,4 +348,4 @@ def write_field_csv(path: Path, padded: np.ndarray) -> None:
 
 
 def read_field_csv(path: Path) -> np.ndarray:
-    return np.loadtxt(Path(path), delimiter=",", ndmin=2)
+    return np.loadtxt(_read_text(path).splitlines(), delimiter=",", ndmin=2)

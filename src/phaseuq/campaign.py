@@ -15,15 +15,14 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from types import UnionType
-from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 import numpy as np
-import numpy.typing as npt
 
+from .artifacts import encode
 from .errors import ConfigError, InsufficientBudgetError
-from .grid import KernelParams, cached_stencil
+from .grid import KernelParams
 from .mfmc import (
     AllocationPlan,
     EstimationResult,
@@ -40,7 +39,7 @@ from .mfmc import (
     theoretical_mse,
 )
 from .sampling import SampleStream, pilot_stream, replicate_stream, validation_stream
-from .solver import ModelSpec, SimParams, check_well_posed, evaluate_model
+from .solver import ModelSpec, SimParams, check_well_posed, evaluate_model, model_stencil
 
 __all__ = [
     "HF_MODEL_ID",
@@ -88,15 +87,15 @@ class StudyRow:
     """One (case, budget) point of the estimator error study."""
 
     case: str
-    model_ids: tuple[int, ...]
-    budget: float
+    model_ids: tuple[int, ...] = field(metadata={"json_key": "subset"})
+    budget: float = field(metadata={"json_key": "budget_seconds"})
     samples: tuple[int, ...]
     below_minimum: bool
     estimates: tuple[float, ...]
     empirical_mse: float
     theoretical_mse: float
     plan_mse: float
-    mean_realized_cost: float
+    mean_realized_cost: float = field(metadata={"json_key": "mean_realized_cost_seconds"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,103 +107,6 @@ class StudyResult:
 
 
 _CONFIG_VERSION = 1
-
-#: Where the JSON form of a dataclass departs from ``field name: value``: model
-#: entries use short keys, artifact subsets are ``subset`` and seconds carry a
-#: ``_seconds`` suffix, and ``KernelParams.delta`` is not written but read back
-#: as ``delta_hf``, because a campaign's family kernel is untruncated.
-_JSON_KEYS = {
-    (ModelSpec, "model_id"): "id",
-    (ModelSpec, "n_interior"): "n",
-    (AllocationPlan, "model_ids"): "subset",
-    (AllocationPlan, "budget"): "budget_seconds",
-    (AllocationPlan, "predicted_cost"): "predicted_cost_seconds",
-    (EstimationResult, "realized_cost"): "realized_cost_seconds",
-    (StudyRow, "model_ids"): "subset",
-    (StudyRow, "budget"): "budget_seconds",
-    (StudyRow, "mean_realized_cost"): "mean_realized_cost_seconds",
-}
-_JSON_COPIES = {(KernelParams, "delta"): "delta_hf"}
-
-#: JSON values accepted for each scalar type; a bool is never a number.
-_JSON_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
-
-#: Array annotations the codec reads, with the scalar type of their elements.
-_JSON_ARRAYS = {np.ndarray: float, npt.NDArray[np.int64]: int}
-
-
-def _json_fields(cls) -> list:
-    """The written fields of a dataclass, with their JSON keys."""
-    return [
-        (f, _JSON_KEYS.get((cls, f.name), f.name))
-        for f in fields(cls)
-        if (cls, f.name) not in _JSON_COPIES
-    ]
-
-
-def _encode(value):
-    if is_dataclass(value):
-        return {key: _encode(getattr(value, f.name)) for f, key in _json_fields(type(value))}
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def _decode(hint, value, where: str):
-    """A JSON value as an instance of the annotated type ``hint``: a
-    dataclass, an ``X | None``, a ``tuple[X, ...]``, an array of one of
-    ``_JSON_ARRAYS`` from a list or a rectangular nest of lists, or ``bool``,
-    ``int``, ``float`` or ``str``, each from its own JSON type; a ``float``
-    must be finite."""
-    if is_dataclass(hint):
-        if not isinstance(value, Mapping):
-            raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
-        written = _json_fields(hint)
-        unknown = set(value) - {key for _, key in written}
-        if unknown:
-            raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-        hints = get_type_hints(hint)
-        kwargs = {}
-        for f, key in written:
-            if key in value:
-                kwargs[f.name] = _decode(hints[f.name], value[key], key)
-            elif f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"missing key {key!r} in {where}")
-        for (owner, name), source in _JSON_COPIES.items():
-            if owner is hint:
-                kwargs[name] = kwargs.get(source, getattr(hint, source))
-        return hint(**kwargs)
-    if isinstance(hint, UnionType):
-        (inner,) = set(get_args(hint)) - {type(None)}
-        return None if value is None else _decode(inner, value, where)
-    if hint in _JSON_ARRAYS:
-        if isinstance(value, list) and value and all(isinstance(v, list) for v in value):
-            rows = [_decode(hint, v, where) for v in value]
-            if len({row.shape for row in rows}) > 1:
-                raise ConfigError(f"{where} must be a rectangular array, got ragged rows")
-            return np.array(rows)
-        item = _JSON_ARRAYS[hint]
-        try:
-            return np.array(_decode(tuple[item, ...], value, where), dtype=item)
-        except OverflowError:
-            raise ConfigError(f"{where} is too large for an array of {item.__name__}") from None
-    if get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
-        return tuple(_decode(get_args(hint)[0], item, where) for item in value)
-    if isinstance(value, bool) != (hint is bool) or not isinstance(value, _JSON_SCALARS[hint]):
-        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
-    try:
-        result = hint(value)
-    except OverflowError:
-        raise ConfigError(f"{where} is too large for a {hint.__name__}") from None
-    if hint is float and not np.isfinite(result):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return result
 
 
 @dataclass(frozen=True)
@@ -237,6 +139,8 @@ class CampaignConfig:
         High-fidelity samples of the reference estimate.
     workers:
         Process count for model evaluations.
+    version:
+        Version of the JSON form; only the current one is accepted.
     """
 
     master_seed: int = 2026
@@ -249,8 +153,11 @@ class CampaignConfig:
     cases: tuple[str, ...] = ("min-V", "min-budget")
     validation_samples: int = 1000
     workers: int = 1
+    version: int = _CONFIG_VERSION
 
     def __post_init__(self) -> None:
+        if self.version != _CONFIG_VERSION:
+            raise ConfigError(f"unsupported config version {self.version}")
         if not self.models:
             raise ConfigError("campaign needs at least one model")
         ids = [m.model_id for m in self.models]
@@ -288,28 +195,10 @@ class CampaignConfig:
         """Family kernel truncated at the model's radius."""
         return replace(self.kernel, delta=model.delta)
 
-    def to_dict(self) -> dict:
-        return {"version": _CONFIG_VERSION, **_encode(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CampaignConfig":
-        if isinstance(data, Mapping):
-            data = dict(data)
-            version = data.pop("version", _CONFIG_VERSION)
-            if version != _CONFIG_VERSION:
-                raise ConfigError(f"unsupported config version {version}")
-        return _decode(cls, data, "config")
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
+        """The JSON form, as ``config.json`` holds it; run directories are
+        named by its hash (:func:`phaseuq.artifacts.run_id`)."""
+        return json.dumps(encode(self), indent=2, sort_keys=True)
 
 
 def _family_models(resolutions: Sequence[int], t_final: float, seed: int, **kwargs):
@@ -409,9 +298,7 @@ class EvalEngine:
         for model_id, tag, count in requests:
             model = config.model(model_id)
             family = config.kernel_for(model)
-            stencil = cached_stencil(
-                model.n_interior, family.eps2, family.delta_hf, model.delta, family.c_f
-            )
+            stencil = model_stencil(model, family)
             grid = stencil.grid
             check_well_posed(
                 f"model {model_id}", grid.n_solution, grid.h, stencil.xi,

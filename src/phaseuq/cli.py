@@ -44,8 +44,7 @@ from .campaign import (
 from .errors import ConfigError, PhaseUQError
 from .mfmc import enumerate_feasible_subsets, resolve_case
 from .sampling import SampleStream, replicate_stream
-from .solver import RandomInputs, mass_fraction, run_simulation
-from .grid import cached_stencil
+from .solver import RandomInputs, mass_fraction, model_stencil, run_simulation
 
 logger = logging.getLogger(__name__)
 
@@ -57,10 +56,7 @@ def _load_config(args) -> CampaignConfig:
     elif name == "reference":
         config = reference_config()
     else:
-        path = Path(name)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        config = CampaignConfig.from_json(path.read_text())
+        config = artifacts.read_json(Path(name), CampaignConfig)
     if getattr(args, "seed", None) is not None:
         config = replace(config, master_seed=args.seed)
     if getattr(args, "workers", None) is not None:
@@ -74,10 +70,6 @@ def _out_dir(args, command: str, config: CampaignConfig) -> Path:
     return out
 
 
-def _write_config(out: Path, config: CampaignConfig) -> None:
-    (out / "config.json").write_text(config.to_json() + "\n")
-
-
 def _cmd_pilot(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, "pilot", config)
@@ -85,7 +77,7 @@ def _cmd_pilot(args) -> int:
         result = run_pilot(engine)
     artifacts.write_stats_csv(out / "stats.csv", result.stats)
     artifacts.write_pilot_json(out / "pilot.json", result)
-    _write_config(out, config)
+    artifacts.write_json(out / "config.json", config)
     stats = result.stats
     print(f"pilot: {config.pilot_samples} samples x {len(stats.ids)} models")
     print(f"c1_seconds={stats.c1!r}")
@@ -127,7 +119,7 @@ def _cmd_estimate(args) -> int:
     with EvalEngine(config) as engine:
         result = run_estimate(engine, plan, replicate_stream(config.master_seed, 0).tag)
     artifacts.write_json(out / "estimate.json", result)
-    _write_config(out, config)
+    artifacts.write_json(out / "config.json", config)
     below = " (below minimum budget)" if plan.below_minimum else ""
     print(f"subset {artifacts.subset_label(plan.model_ids)}{below}")
     print(f"samples {artifacts.subset_label(plan.samples)}")
@@ -145,7 +137,7 @@ def _cmd_validate(args) -> int:
     with EvalEngine(config) as engine:
         result = run_validation(engine)
     artifacts.write_json(out / "validation.json", result)
-    _write_config(out, config)
+    artifacts.write_json(out / "config.json", config)
     print(f"reference {result.value!r} from {result.n_samples} samples")
     print(f"wrote {out / 'validation.json'}")
     return 0
@@ -166,7 +158,7 @@ def _cmd_mse_study(args) -> int:
         study = run_mse_study(engine, stats, reference)
     artifacts.write_study_csv(out / "mse_study.csv", study)
     artifacts.write_json(out / "mse_study.json", study)
-    _write_config(out, config)
+    artifacts.write_json(out / "config.json", config)
     for row in study.rows:
         print(
             f"{row.case:>10} B={row.budget:9.3f}s subset="
@@ -184,10 +176,7 @@ def _cmd_simulate(args) -> int:
         theta = artifacts.read_json(Path(args.theta_file), RandomInputs)
     else:
         theta = SampleStream(config.master_seed, args.stream).theta(args.theta_index)
-    family = config.kernel_for(model)
-    stencil = cached_stencil(
-        model.n_interior, family.eps2, family.delta_hf, model.delta, family.c_f
-    )
+    stencil = model_stencil(model, config.kernel_for(model))
     grid = stencil.grid
     out = _out_dir(args, f"simulate-m{model.model_id}", config)
     sim = config.sim

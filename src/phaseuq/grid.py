@@ -20,7 +20,7 @@ with ``a = delta_hf / 3``.  All quadrature uses the uniform weight ``h**2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -57,13 +57,15 @@ class KernelParams:
         ``a = delta_hf / 3``; shared across a model family.
     delta:
         Truncation radius of this particular model, ``0 < delta <= delta_hf``.
+        Not written to JSON, and read back as ``delta_hf``: a kernel stored
+        as JSON is a campaign's family kernel, which is untruncated.
     c_f:
         Height of the double-obstacle potential well; positive and finite.
     """
 
     eps2: float = 0.00178
     delta_hf: float = 0.25
-    delta: float = 0.25
+    delta: float = field(default=0.25, metadata={"json_copy_of": "delta_hf"})
     c_f: float = 1.0
 
     def __post_init__(self) -> None:

@@ -18,7 +18,7 @@ correlation of a virtual ``(m+1)``-th model is 0 by convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -191,12 +191,12 @@ class AllocationPlan:
     counts were floored from.
     """
 
-    model_ids: tuple[int, ...]
+    model_ids: tuple[int, ...] = field(metadata={"json_key": "subset"})
     alpha: np.ndarray
     ratios: np.ndarray
     samples: npt.NDArray[np.int64]
-    budget: float
-    predicted_cost: float
+    budget: float = field(metadata={"json_key": "budget_seconds"})
+    predicted_cost: float = field(metadata={"json_key": "predicted_cost_seconds"})
     below_minimum: bool
 
     def __post_init__(self) -> None:
@@ -230,7 +230,9 @@ class EstimationResult:
     value: float
     plan: AllocationPlan
     level_terms: np.ndarray
-    realized_cost: float | None = None
+    realized_cost: float | None = field(
+        default=None, metadata={"json_key": "realized_cost_seconds"}
+    )
 
 
 def pilot_statistics(

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -65,6 +65,7 @@ __all__ = [
     "initial_condition",
     "initial_state",
     "check_well_posed",
+    "model_stencil",
     "time_step",
     "run_simulation",
     "mass_fraction",
@@ -105,16 +106,17 @@ class ModelSpec:
     ----------
     model_id:
         Positive identifier; id 1 is reserved for the high-fidelity model.
+        Written to JSON as ``id``.
     n_interior:
-        Cells per side (``h = 1 / n_interior``).
+        Cells per side (``h = 1 / n_interior``).  Written to JSON as ``n``.
     delta:
         Kernel truncation radius of this model.
     label:
         Free-form display name.
     """
 
-    model_id: int
-    n_interior: int
+    model_id: int = field(metadata={"json_key": "id"})
+    n_interior: int = field(metadata={"json_key": "n"})
     delta: float
     label: str = ""
 
@@ -571,6 +573,14 @@ def mass_fraction(grid: Grid, padded: np.ndarray) -> float:
     return 0.5 * (1.0 + float(padded[sol, sol].mean()))
 
 
+def model_stencil(model: ModelSpec, family: KernelParams) -> ConvolutionStencil:
+    """The cached stencil of ``model``: the ``family`` kernel truncated at the
+    model's own radius, on the model's grid."""
+    return cached_stencil(
+        model.n_interior, family.eps2, family.delta_hf, model.delta, family.c_f
+    )
+
+
 def evaluate_model(
     model: ModelSpec,
     theta: RandomInputs,
@@ -582,9 +592,7 @@ def evaluate_model(
     Operator assembly is cached per model and excluded from the timing, so the
     reported cost reflects the steady-state per-sample work.
     """
-    stencil = cached_stencil(
-        model.n_interior, family.eps2, family.delta_hf, model.delta, family.c_f
-    )
+    stencil = model_stencil(model, family)
     grid = stencil.grid
     # Warm the matrix cache so assembly cost is not charged to this sample.
     _step_matrices(grid.n_solution, grid.h, stencil.xi, sim.beta1, sim.beta2, sim.dt)

@@ -38,6 +38,7 @@ from phaseuq import (
 )
 from phaseuq import campaign
 from phaseuq.artifacts import (
+    decode,
     parse_subset_label,
     read_field_csv,
     read_json,
@@ -247,6 +248,7 @@ class TestArtifactBytes:
         "stats.csv": "a1b81c2f5c6764859f428d029807058f68f12e34c976a2dd058daaacb37c8e9b",
         "subsets.csv": "d87d599958bb92410ee410fcf0bba84d8865bcb905e9ed4d84457cfcaf4afb91",
         "pilot.json": "f64d1f64385fbc4456b25c3dcbe2716c0d57b7291f700428fb936f24c678c99f",
+        "config.json": "b75c60dfb812f92c4a737755f54dc3bb94de95c5d47f4babbf7fd9155c9d12d0",
     }
 
     @staticmethod
@@ -289,6 +291,7 @@ class TestArtifactBytes:
                 value=0.123456789, n_samples=77, cost_seconds=3.25
             ),
             "mse_study.json": StudyResult(rows=rows, reference=0.3),
+            "config.json": desk_config(),
         }
 
     def test_bytes_pinned(self, tmp_path, table_stats):
@@ -332,6 +335,12 @@ class TestFieldCsv:
         path = tmp_path / "u.csv"
         write_field_csv(path, field)
         np.testing.assert_array_equal(read_field_csv(path), field)
+
+
+def test_missing_csv_files_raise_config_error(tmp_path):
+    for read in (read_subsets_csv, read_field_csv):
+        with pytest.raises(ConfigError, match="cannot read .*absent.csv"):
+            read(tmp_path / "absent.csv")
 
 
 class TestRunId:
@@ -388,16 +397,23 @@ def campaign_configs(draw):
     )
 
 
+def _config(data) -> CampaignConfig:
+    """The configuration held by a JSON value, as ``--config`` reads it."""
+    return decode(CampaignConfig, data, "config")
+
+
 class TestConfigJson:
-    def test_round_trip(self, micro_config):
+    def test_round_trip(self, tmp_path, micro_config):
         for config in (micro_config, desk_config()):
-            assert CampaignConfig.from_json(config.to_json()) == config
+            write_json(tmp_path / "config.json", config)
+            assert read_json(tmp_path / "config.json", CampaignConfig) == config
+            assert (tmp_path / "config.json").read_text() == config.to_json() + "\n"
 
     @settings(max_examples=100, deadline=None)
     @given(config=campaign_configs())
     def test_round_trip_generated(self, config):
         text = config.to_json()
-        back = CampaignConfig.from_json(text)
+        back = _config(json.loads(text))
         assert back == config
         assert back.to_json() == text
 
@@ -416,36 +432,41 @@ class TestConfigJson:
         data = json.loads(micro_config.to_json())
         data["kernel"]["delta"] = 0.25
         with pytest.raises(ConfigError):
-            CampaignConfig.from_dict(data)
+            _config(data)
 
-    def test_errors(self, micro_config):
-        base = micro_config.to_dict()
+    def test_errors(self, tmp_path, micro_config):
+        base = json.loads(micro_config.to_json())
 
         data = dict(base, extra=1)
         with pytest.raises(ConfigError):
-            CampaignConfig.from_dict(data)
+            _config(data)
 
         data = dict(base, version=99)
-        with pytest.raises(ConfigError):
-            CampaignConfig.from_dict(data)
+        with pytest.raises(ConfigError, match="unsupported config version 99"):
+            _config(data)
+
+        # a file without a version is read as the current one
+        data = dict(base)
+        del data["version"]
+        assert _config(data) == micro_config
 
         data = dict(base)
         del data["models"]
         with pytest.raises(ConfigError):
-            CampaignConfig.from_dict(data)
+            _config(data)
 
         data = json.loads(json.dumps(base))
         data["models"][0]["weird"] = 1
         with pytest.raises(ConfigError):
-            CampaignConfig.from_dict(data)
+            _config(data)
 
         data = json.loads(json.dumps(base))
         data["sim"]["weird"] = 1
         with pytest.raises(ConfigError):
-            CampaignConfig.from_dict(data)
+            _config(data)
 
-        with pytest.raises(ConfigError):
-            CampaignConfig.from_json("not json {")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            read_json(_write(tmp_path / "bad.json", "not json {"), CampaignConfig)
 
         # scalars must have their own JSON type; a bool is never a number
         for section, key, value in (
@@ -464,12 +485,12 @@ class TestConfigJson:
             data = json.loads(json.dumps(base))
             (data if section is None else data[section])[key] = value
             with pytest.raises(ConfigError, match=key):
-                CampaignConfig.from_dict(data)
+                _config(data)
         for model_key, value in (("n", 8.7), ("id", "1"), ("delta", None), ("label", 5)):
             data = json.loads(json.dumps(base))
             data["models"][0][model_key] = value
             with pytest.raises(ConfigError, match=model_key):
-                CampaignConfig.from_dict(data)
+                _config(data)
         # NaN and Infinity, JSON extensions that Python reads, are rejected
         for section, key, value in (
             (None, "budgets", [float("nan")]),
@@ -484,10 +505,10 @@ class TestConfigJson:
             data = json.loads(json.dumps(base))
             (data if section is None else data[section])[key] = value
             with pytest.raises(ConfigError, match=f"{key} must be finite"):
-                CampaignConfig.from_json(json.dumps(data))
+                _config(json.loads(json.dumps(data)))
         # integer budgets are JSON integers where floats are expected
         data = dict(base, budgets=[5, 10])
-        assert CampaignConfig.from_dict(data).budgets == (5.0, 10.0)
+        assert _config(data).budgets == (5.0, 10.0)
 
     def test_semantic_validation(self, micro_config):
         with pytest.raises(ConfigError):
@@ -800,6 +821,24 @@ class TestCliExitCodes:
         for budget in ("inf", "nan"):
             assert main(estimate + ["--budget", budget]) == 2
             assert "budget must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("flag", ["--config", "--stats", "--validation", "--theta-file"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, flag, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\x81 not text")
+        stats = str(_write(tmp_path / "good.csv", _GOOD_STATS))
+        argv = {
+            "--config": ["validate", "--config", str(path)],
+            "--stats": ["subsets", "--stats", str(path)],
+            "--validation": ["mse-study", "--stats", stats, "--validation", str(path)],
+            "--theta-file": ["simulate", "--model", "3", "--theta-file", str(path)],
+        }[flag]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert f"error: cannot read {path}" in capsys.readouterr().err
 
     def test_bad_theta_file_exits_2(self, tmp_path, micro_config, capsys):
         cfg = tmp_path / "micro.json"

@@ -34,8 +34,7 @@ from phaseuq import (
     time_step,
 )
 from phaseuq import solver
-from phaseuq.grid import cached_stencil
-from phaseuq.solver import StepState
+from phaseuq.solver import StepState, model_stencil
 
 FAMILY = KernelParams(eps2=0.00178, delta_hf=0.25, delta=0.25, c_f=1.0)
 
@@ -392,10 +391,9 @@ class TestRunAndEvaluate:
             solver._sweep_factorization.cache_clear()
 
 
-def model_stencil(config, model):
+def config_stencil(config, model):
     """The cached stencil of one model of ``config``."""
-    family = config.kernel_for(model)
-    return cached_stencil(model.n_interior, family.eps2, family.delta_hf, model.delta, family.c_f)
+    return model_stencil(model, config.kernel_for(model))
 
 
 class TestWellPosedness:
@@ -403,7 +401,7 @@ class TestWellPosedness:
         """The message of each model of ``config`` that the check rejects."""
         sim, messages = config.sim, {}
         for model in config.models:
-            st = model_stencil(config, model)
+            st = config_stencil(config, model)
             try:
                 check_well_posed(
                     f"model {model.model_id}", st.grid.n_solution, st.grid.h, st.xi,
@@ -427,7 +425,7 @@ class TestWellPosedness:
         # Reference model 9 (n=64, delta=0.125) used to cycle through
         # max_sweeps and raise ConvergenceError at t=0.01.
         config = reference_config()
-        st = model_stencil(config, config.model(9))
+        st = config_stencil(config, config.model(9))
         state = initial_state(st.grid, ASYM_THETA, config.sim)
         with pytest.raises(ConfigError, match="n_interior=64 model .* ill-posed"):
             time_step(state, st, config.sim)
@@ -436,7 +434,7 @@ class TestWellPosedness:
 def desk_operators(model_id: int, **sim_changes):
     """The desk model's stencil, step settings and cached ``(A, B)``."""
     config = desk_config()
-    st = model_stencil(config, config.model(model_id))
+    st = config_stencil(config, config.model(model_id))
     sim = replace(config.sim, **sim_changes)
     grid = st.grid
     operators = solver._step_matrices(
