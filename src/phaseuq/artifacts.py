@@ -182,6 +182,25 @@ def parse_subset_label(label: str) -> tuple[int, ...]:
 
 
 _STATS_HEADER = ["model", "h", "delta", "rho", "cost_ratio", "sigma"]
+_SUBSETS_HEADER = ["rank", "subset", "V", "Bmin_over_C1", "Bmin_rank"]
+
+
+def _csv_rows(path: Path, lines: list[str], header: list[str]) -> csv.DictReader:
+    """The rows of a CSV file, or a :class:`ConfigError` naming the file if
+    it lacks a column of ``header``."""
+    reader = csv.DictReader(lines)
+    missing = [c for c in header if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{path}: missing columns {missing}")
+    return reader
+
+
+def _number(path: Path, text, column: str, kind=float):
+    """``kind(text)``, or a :class:`ConfigError` naming the file and column."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: {column} must be a number, got {text!r}") from None
 
 
 def write_stats_csv(path: Path, stats: ModelStats) -> None:
@@ -213,25 +232,15 @@ def read_stats_csv(path: Path) -> ModelStats:
     if not lines or not lines[0].startswith("# c1_seconds="):
         raise ConfigError(f"{path} is missing the '# c1_seconds=' header")
 
-    def number(text, column, kind=float):
-        try:
-            return kind(text)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: {column} must be a number, got {text!r}") from None
-
-    c1 = number(lines[0].split("=", 1)[1], "c1_seconds")
-    reader = csv.DictReader(lines[1:])
-    missing = [c for c in _STATS_HEADER if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ConfigError(f"{path}: missing columns {missing}")
+    c1 = _number(path, lines[0].split("=", 1)[1], "c1_seconds")
     ids, rho, ratio, sigma, h, delta = [], [], [], [], [], []
-    for row in reader:
-        ids.append(number(row["model"], "model", int))
-        rho.append(number(row["rho"], "rho"))
-        ratio.append(number(row["cost_ratio"], "cost_ratio"))
-        sigma.append(number(row["sigma"], "sigma"))
-        h.append(number(row["h"], "h") if row["h"] else np.nan)
-        delta.append(number(row["delta"], "delta") if row["delta"] else np.nan)
+    for row in _csv_rows(path, lines[1:], _STATS_HEADER):
+        ids.append(_number(path, row["model"], "model", int))
+        rho.append(_number(path, row["rho"], "rho"))
+        ratio.append(_number(path, row["cost_ratio"], "cost_ratio"))
+        sigma.append(_number(path, row["sigma"], "sigma"))
+        h.append(_number(path, row["h"], "h") if row["h"] else np.nan)
+        delta.append(_number(path, row["delta"], "delta") if row["delta"] else np.nan)
     if not ids:
         raise ConfigError(f"{path} contains no model rows")
     h_arr = None if np.isnan(h).all() else np.asarray(h)
@@ -256,7 +265,7 @@ def write_subsets_csv(path: Path, candidates: Sequence[SubsetCandidate], c1: flo
     budget_rank = {k: r + 1 for r, k in enumerate(by_budget)}
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rank", "subset", "V", "Bmin_over_C1", "Bmin_rank"])
+        writer.writerow(_SUBSETS_HEADER)
         for k, cand in enumerate(candidates):
             writer.writerow(
                 [
@@ -271,14 +280,18 @@ def write_subsets_csv(path: Path, candidates: Sequence[SubsetCandidate], c1: flo
 
 def read_subsets_csv(path: Path) -> list[dict]:
     out = []
-    for row in csv.DictReader(_read_text(path).splitlines()):
+    for row in _csv_rows(path, _read_text(path).splitlines(), _SUBSETS_HEADER):
+        try:
+            model_ids = parse_subset_label(row["subset"] or "")
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         out.append(
             {
-                "rank": int(row["rank"]),
-                "model_ids": parse_subset_label(row["subset"]),
-                "v_ratio": float(row["V"]),
-                "b_min_over_c1": float(row["Bmin_over_C1"]),
-                "b_min_rank": int(row["Bmin_rank"]),
+                "rank": _number(path, row["rank"], "rank", int),
+                "model_ids": model_ids,
+                "v_ratio": _number(path, row["V"], "V"),
+                "b_min_over_c1": _number(path, row["Bmin_over_C1"], "Bmin_over_C1"),
+                "b_min_rank": _number(path, row["Bmin_rank"], "Bmin_rank", int),
             }
         )
     return out
@@ -348,4 +361,10 @@ def write_field_csv(path: Path, padded: np.ndarray) -> None:
 
 
 def read_field_csv(path: Path) -> np.ndarray:
-    return np.loadtxt(_read_text(path).splitlines(), delimiter=",", ndmin=2)
+    try:
+        field = np.loadtxt(_read_text(path).splitlines(), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a table of numbers: {exc}") from None
+    if not np.isfinite(field).all():
+        raise ConfigError(f"{path} holds non-finite values")
+    return field

@@ -12,13 +12,19 @@ The high-fidelity model is the one with ``model_id == 1``.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from functools import lru_cache
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy
 
 from .artifacts import encode
 from .errors import ConfigError, InsufficientBudgetError
@@ -244,6 +250,59 @@ def reference_config(seed: int = 2026) -> CampaignConfig:
     return _family_models((128, 88, 64), t_final=1.0, seed=seed)
 
 
+#: The OpenBLAS builds that the scipy and numpy wheels bundle: the package,
+#: the library's file pattern next to it, and the suffix of its exported names.
+_BUNDLED_OPENBLAS = (
+    (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
+    (np, "numpy.libs/libscipy_openblas64_-*.so", "64_"),
+)
+
+
+@lru_cache(maxsize=1)
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The ``(get_num_threads, set_num_threads)`` functions of each bundled
+    OpenBLAS that this process has loaded."""
+    controls = []
+    for package, pattern, suffix in _BUNDLED_OPENBLAS:
+        for path in Path(package.__file__).parent.parent.glob(pattern):
+            try:
+                library = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):  # not loaded, or another build
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+def _pin_one_blas_thread() -> None:
+    """Run every bundled OpenBLAS of this process on one thread.
+
+    The initializer of the engine's pool workers: with ``workers`` processes
+    on as many cores, a second BLAS thread per worker only oversubscribes
+    them, which made n=64 evaluations 5-13 times slower on a 2-core machine.
+    """
+    controls = _openblas_thread_controls()
+    if not controls:
+        logger.info("no bundled OpenBLAS found; BLAS threads left as they are")
+    for _, set_threads in controls:
+        set_threads(1)
+
+
+@contextmanager
+def _blas_threads_pinned() -> Iterator[None]:
+    """Run the body on one BLAS thread, then restore the thread counts."""
+    before = [(set_threads, get()) for get, set_threads in _openblas_thread_controls()]
+    _pin_one_blas_thread()
+    try:
+        yield
+    finally:
+        for set_threads, count in before:
+            set_threads(count)
+
+
 def _evaluate_task(payload):
     model, family, sim, seed, tag, index = payload
     theta = SampleStream(seed, tag).theta(index)
@@ -261,6 +320,12 @@ class EvalEngine:
     largest grids first, so that with ``workers > 1`` the process pool is
     never drained between models or streams and the cheapest evaluations
     fill its tail.  Results are identical to serial evaluation in any order.
+
+    Evaluations run on one BLAS thread: the pool's workers for their whole
+    life, and serial evaluation (``workers == 1``) in the caller's process
+    for the length of one :meth:`prefetch`, after which the caller's thread
+    counts are restored.  So measured costs do not depend on how many
+    threads the BLAS library would otherwise start.
     """
 
     def __init__(self, config: CampaignConfig):
@@ -282,7 +347,9 @@ class EvalEngine:
 
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_pin_one_blas_thread
+            )
         return self._pool
 
     def prefetch(self, requests: Iterable[tuple[int, str, int]]) -> None:
@@ -316,10 +383,10 @@ class EvalEngine:
         logger.info("evaluating %d new samples in one pass", len(order))
         tasks = [payloads[address] for address in order]
         if self.workers > 1 and len(tasks) > 1:
-            results = self._executor().map(_evaluate_task, tasks)
+            self._cache.update(zip(order, self._executor().map(_evaluate_task, tasks)))
         else:
-            results = map(_evaluate_task, tasks)
-        self._cache.update(zip(order, results))
+            with _blas_threads_pinned():
+                self._cache.update(zip(order, map(_evaluate_task, tasks)))
 
     def evaluate(self, model_id: int, tag: str, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Values and per-evaluation seconds for stream indices ``0..count-1``."""

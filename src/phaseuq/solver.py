@@ -16,19 +16,35 @@ guesses which nodes sit on the obstacle bounds, solves the resulting linear
 system exchanging unknowns ``u`` (free nodes) and ``lam`` (active nodes), and
 updates the guess from the multiplier sign test until the sets are stable.
 
-The matrix of one sweep takes the columns of ``A`` at free nodes and those of
-``B`` at active nodes.  ``A`` is stored on ``B``'s sparsity pattern, so it is
-assembled by selecting each column's data from one of them.  In the natural
-row-major order it is a 5-point matrix of half-bandwidth ``n_solution``.  On
-grids up to ``n_solution = 65`` it is factorized by LAPACK's band LU with
-partial pivoting (``dgbtrf``), which has no symbolic phase and little per-call
-overhead; above that, by sparse LU with the minimum-degree ordering of
-``M^T + M`` (the matrix is structurally symmetric, which keeps the fill about
-half that of COLAMD).  A one-entry cache keyed by the operators and the
-active set carries the last factorization to the next call: a step starts
-from the active sets its predecessor converged on, so its first sweep reuses
-the LU of the previous step's last sweep instead of factorizing the same
-matrix again.
+The matrix ``M`` of one sweep takes the columns of ``A`` at free nodes and
+those of ``B`` at active nodes.  ``A`` is stored on ``B``'s sparsity pattern,
+so it is assembled by selecting each column's data from one of them.  In the
+natural row-major order it is a 5-point matrix of half-bandwidth
+``n_solution``.  Since ``xi * B[:, j] = A[:, j] - e_j / dt``, scaling the
+columns by ``D = diag(1 on free nodes, xi on active nodes)`` gives
+
+.. code-block:: text
+
+    M D = P_F / dt + xi * B,      P_F = diag(1 on free nodes, 0 on active nodes),
+
+which is symmetric, and positive definite when ``xi > 0`` and ``beta1 > 0``
+(``B`` is then positive definite).  Its off-diagonal entries equal ``M``'s
+bit for bit, because ``A``'s are ``xi * B``'s.  The factorization follows
+from that definiteness, which the inputs show:
+
+* ``xi > 0`` and ``beta1 > 0``: LAPACK's band Cholesky of ``M D``
+  (``dpbtrf``) on every grid, with no pivoting and a band of
+  ``n_solution + 1`` rows; a solve returns ``D y``;
+* otherwise (``xi <= 0`` or ``beta1 = 0``): band LU with partial pivoting
+  (``dgbtrf``) on grids up to ``n_solution = 65``, which has no symbolic phase
+  and little per-call overhead, and above that sparse LU with the
+  minimum-degree ordering of ``M^T + M`` (the matrix is structurally
+  symmetric, which keeps the fill about half that of COLAMD).
+
+A one-entry cache keyed by the operators and the active set carries the last
+factorization to the next call: a step starts from the active sets its
+predecessor converged on, so its first sweep reuses the factorization of the
+previous step's last sweep instead of factorizing the same matrix again.
 
 A step is well posed only if ``A`` is positive definite;
 :func:`check_well_posed` tests that in closed form before any solve.
@@ -42,7 +58,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -384,13 +400,18 @@ def _masked_matrix(
 #: Fill-reducing ordering of the sparse LU: minimum degree on ``M^T + M``.
 _ORDERING = "MMD_AT_PLUS_A"
 
-#: Largest ``n_solution`` factorized by band LU; larger grids use sparse LU.
-#: Band-storage build plus ``dgbtrf`` against ``splu`` of one sweep matrix,
-#: in ms, best of 9, on a loaded 2-core VM:
+#: Largest ``n_solution`` at which band LU factorizes the sweep matrices that
+#: band Cholesky cannot take; larger grids use sparse LU.  Band-storage build
+#: plus the factorization of one sweep matrix, in ms, best of 9 (of 3 at
+#: n_interior = 256), on a loaded 2-core VM; the ``dpbtrf`` row (band
+#: Cholesky of ``M D``) with one BLAS thread:
 #:
-#:     n_interior   16     24    32    48    64     88     128
+#:     n_interior   16     24    32    48    64     88     128    256
 #:     band LU      0.08   0.35  0.62  2.4   6.8    20.5   76
-#:     splu         0.75   1.6   2.5   6.0   10.4   21.0   54
+#:     splu         0.75   1.6   2.5   6.0   10.4   21.0   54     266
+#:     dpbtrf       0.06   0.14  0.32  1.1   2.3    5.9    20     197
+#:
+#: At n_interior = 256 the ``dpbtrf`` band alone holds 136 MB.
 _BAND_LU_MAX_N_SOLUTION = 65
 
 
@@ -420,34 +441,72 @@ class _BandLU:
         return x
 
 
+class _BandCholesky:
+    """Cholesky factorization ``L L^T`` of ``M D``, for a square matrix ``M``
+    of half-bandwidth ``k`` and a diagonal column scaling ``D`` (the vector
+    ``d``) that makes ``M D`` symmetric positive definite, in LAPACK lower
+    band storage (``dpbtrf``/``dpbtrs``).  It solves ``M x = rhs`` as
+    ``x = D y`` with ``M D y = rhs``."""
+
+    def __init__(self, m_mat: sp.csc_matrix, k: int, d: np.ndarray):
+        n = m_mat.shape[0]
+        columns = np.repeat(np.arange(n), np.diff(m_mat.indptr))
+        lower = m_mat.indices >= columns
+        rows, columns = m_mat.indices[lower], columns[lower]
+        band = np.zeros((k + 1, n), order="F")
+        band[rows - columns, columns] = m_mat.data[lower] * d[columns]
+        self.d = d
+        self.factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(f"band Cholesky failed (dpbtrf info={info})")
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """The pivots of ``M``'s LU without row exchanges, ``diag(L)^2 / d``."""
+        return self.factor[0] ** 2 / self.d
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y, info = lapack.dpbtrs(self.factor, rhs, lower=1)
+        if info != 0:
+            raise RuntimeError(f"band Cholesky solve failed (dpbtrs info={info})")
+        return self.d * y
+
+
 def _factorize(
-    m_mat: sp.csc_matrix, scale: float, check_singular: bool
-) -> _BandLU | spla.SuperLU:
-    """LU of a sweep's matrix, by band LU on small grids and sparse LU above
-    ``_BAND_LU_MAX_N_SOLUTION``; regularizes singular systems.
+    m_mat: sp.csc_matrix, free: np.ndarray, xi: float, beta1: float, scale: float
+) -> _BandCholesky | _BandLU | spla.SuperLU:
+    """Factorization of the sweep matrix ``M`` with the nodes ``free``;
+    regularizes singular systems.
+
+    With ``xi > 0`` and ``beta1 > 0``, ``M D`` with ``D = diag(1 on free,
+    xi on active)`` is positive definite, and band Cholesky factorizes it on
+    every grid.  Otherwise band LU factorizes ``M`` up to
+    ``_BAND_LU_MAX_N_SOLUTION`` and sparse LU above.
 
     The factorization of an exactly singular matrix may silently produce a
     tiny pivot instead of failing, so in regimes where singularity can occur
-    (no bulk relaxation with every node active) the pivots are checked
-    explicitly and the system is shifted by a tiny multiple of the identity.
+    (no bulk relaxation, or every node active) the pivots are checked
+    explicitly, and a failed or singular factorization is repeated on
+    ``M + eps I`` with a tiny ``eps`` (on ``M D + eps D`` for band Cholesky).
     """
     n_solution = math.isqrt(m_mat.shape[0])
-    band = n_solution <= _BAND_LU_MAX_N_SOLUTION
-
-    def lu_of(matrix):
-        if band:
-            return _BandLU(matrix, n_solution)
-        return spla.splu(matrix, permc_spec=_ORDERING)
+    sparse = False
+    if xi > 0.0 and beta1 > 0.0:
+        factor = partial(_BandCholesky, k=n_solution, d=np.where(free, 1.0, xi))
+    elif n_solution <= _BAND_LU_MAX_N_SOLUTION:
+        factor = partial(_BandLU, k=n_solution)
+    else:
+        factor, sparse = partial(spla.splu, permc_spec=_ORDERING), True
 
     try:
-        lu = lu_of(m_mat)
-        if check_singular:
-            pivots = np.abs(lu.pivots if band else lu.U.diagonal())
+        lu = factor(m_mat)
+        if beta1 == 0.0 or not free.any():
+            pivots = np.abs(lu.U.diagonal() if sparse else lu.pivots)
             if pivots.min() <= 1e-12 * max(pivots.max(), 1.0):
                 raise RuntimeError("numerically singular factorization")
     except RuntimeError:
         reg = m_mat + 1e-10 * scale * sp.identity(m_mat.shape[0], format="csc")
-        lu = lu_of(reg.tocsc())
+        lu = factor(reg.tocsc())
     return lu
 
 
@@ -455,20 +514,20 @@ def _factorize(
 def _sweep_factorization(
     n_solution: int, h: float, xi: float, beta1: float, beta2: float, dt: float,
     active: bytes,
-) -> tuple[sp.csc_matrix, _BandLU | spla.SuperLU]:
-    """The matrix of one sweep and its LU, for the operators of
+) -> tuple[sp.csc_matrix, _BandCholesky | _BandLU | spla.SuperLU]:
+    """The matrix of one sweep and its factorization, for the operators of
     :func:`_step_matrices` with the same arguments and the active set given
     as the bytes of a boolean mask.
 
     One entry only: callers keep many states, and an n=128 factorization is
-    about 8 MB.  It is what the first sweep of each step reuses, since a step
+    about 17 MB.  It is what the first sweep of each step reuses, since a step
     starts from the sets the previous step converged on.
     """
     a_mat, b_mat = _step_matrices(n_solution, h, xi, beta1, beta2, dt)
     free = ~np.frombuffer(active, dtype=bool)
     m_mat = _masked_matrix(a_mat, b_mat, free)
     scale = 1.0 / dt + abs(xi) * (beta1 + 8.0 * beta2 / h**2)
-    return m_mat, _factorize(m_mat, scale, beta1 == 0.0 or not free.any())
+    return m_mat, _factorize(m_mat, free, xi, beta1, scale)
 
 
 def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> StepState:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -343,6 +346,29 @@ def test_missing_csv_files_raise_config_error(tmp_path):
             read(tmp_path / "absent.csv")
 
 
+@pytest.mark.parametrize(
+    ("read", "text", "message"),
+    [
+        (read_subsets_csv, "rank,subset,Bmin_over_C1,Bmin_rank\n1,1+2,0.5,1\n",
+         r"missing columns \['V'\]"),
+        (read_subsets_csv, "rank,subset,V,Bmin_over_C1,Bmin_rank\n1,1+2,0.5\n",
+         "Bmin_over_C1 must be a number, got None"),
+        (read_subsets_csv, "rank,subset,V,Bmin_over_C1,Bmin_rank\n1,1+x,0.5,2.0,1\n",
+         "cannot parse subset label '1\\+x'"),
+        (read_subsets_csv, "rank,subset,V,Bmin_over_C1,Bmin_rank\n1.5,1+2,0.5,2.0,1\n",
+         "rank must be a number, got '1.5'"),
+        (read_field_csv, "0.5,0.25\n0.75\n", "not a table of numbers"),
+        (read_field_csv, "0.5,abc\n", "not a table of numbers"),
+        (read_field_csv, "0.5,nan\n", "non-finite"),
+    ],
+)
+def test_malformed_csv_files_raise_config_error(tmp_path, read, text, message):
+    path = tmp_path / "bad.csv"
+    _write(path, text)
+    with pytest.raises(ConfigError, match=f"bad.csv.*{message}"):
+        read(path)
+
+
 class TestRunId:
     def test_deterministic_and_distinct(self, micro_config):
         a = run_id("pilot", micro_config)
@@ -602,6 +628,35 @@ class TestEvalEngine:
             }
             assert set(engine._cache) == used
         assert len(calls) == len(used)
+
+
+def scipy_blas_threads() -> int:
+    """The thread count of the OpenBLAS bundled with scipy, in this process."""
+    (path,) = (Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas-*.so")
+    get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+class TestBlasThreads:
+    def test_pool_workers_run_one_blas_thread(self, micro_config):
+        with EvalEngine(replace(micro_config, workers=2)) as engine:
+            counts = [engine._executor().submit(scipy_blas_threads) for _ in range(4)]
+            assert [count.result(timeout=60) for count in counts] == [1] * 4
+
+    def test_serial_evaluation_pins_then_restores(self, micro_config, monkeypatch):
+        counts = []
+
+        def counted(payload):
+            counts.append(scipy_blas_threads())
+            return 0.5, 0.0
+
+        monkeypatch.setattr(campaign, "_evaluate_task", counted)
+        before = scipy_blas_threads()
+        with EvalEngine(micro_config) as engine:
+            engine.evaluate(3, "pilot", 2)
+        assert counts == [1, 1]
+        assert scipy_blas_threads() == before
 
 
 def _find_artifact(out_dir, command, name):

@@ -431,9 +431,9 @@ class TestWellPosedness:
             time_step(state, st, config.sim)
 
 
-def desk_operators(model_id: int, **sim_changes):
-    """The desk model's stencil, step settings and cached ``(A, B)``."""
-    config = desk_config()
+def model_operators(model_id: int, config=desk_config(), **sim_changes):
+    """The stencil, step settings and cached ``(A, B)`` of a model of
+    ``config``, the desk family by default."""
     st = config_stencil(config, config.model(model_id))
     sim = replace(config.sim, **sim_changes)
     grid = st.grid
@@ -445,12 +445,12 @@ def desk_operators(model_id: int, **sim_changes):
 
 class TestFactorizationReuse:
     def run(self, monkeypatch, clear_every_step: bool):
-        st, sim, _ = desk_operators(9)
+        st, sim, _ = model_operators(9)
         factorize, matrices = solver._factorize, []
 
-        def counting_factorize(m_mat, scale, check_singular):
+        def counting_factorize(m_mat, *args):
             matrices.append(m_mat.copy())
-            return factorize(m_mat, scale, check_singular)
+            return factorize(m_mat, *args)
 
         monkeypatch.setattr(solver, "_factorize", counting_factorize)
         solver._sweep_factorization.cache_clear()
@@ -492,12 +492,17 @@ class TestFactorizationReuse:
 
 
 OPERATOR_DETAILS = {
-    "desk": desk_operators(9),
-    "desk-n32": desk_operators(1),
-    "beta2=0": desk_operators(9, beta2=0.0),
-    "beta1=0": desk_operators(9, beta1=0.0),
+    "desk": model_operators(9),
+    "desk-n32": model_operators(1),
+    "beta2=0": model_operators(9, beta2=0.0),
+    "beta1=0": model_operators(9, beta1=0.0),
 }
 OPERATOR_CASES = {case: details[2] for case, details in OPERATOR_DETAILS.items()}
+#: Cases with xi > 0 and beta1 > 0, whose sweep matrices band Cholesky factorizes.
+CHOLESKY_DETAILS = {
+    "desk-n32": OPERATOR_DETAILS["desk-n32"],
+    "reference-n64": model_operators(8, reference_config()),
+}
 
 
 class TestMaskedAssembly:
@@ -554,22 +559,33 @@ def sweep_key(case):
     """The :func:`solver._sweep_factorization` operator key of a case."""
     if case == "xi=0":
         return (9, 1.0 / 8, 0.0, 1.0, 0.05, 0.01)
-    st, sim, _ = OPERATOR_DETAILS[case]
+    st, sim, _ = (OPERATOR_DETAILS | CHOLESKY_DETAILS)[case]
     return (st.grid.n_solution, st.grid.h, st.xi, sim.beta1, sim.beta2, sim.dt)
+
+
+def sparse_lu(m_mat):
+    """The sparse LU that sweep matrices above ``_BAND_LU_MAX_N_SOLUTION`` get."""
+    return spla.splu(m_mat, permc_spec=solver._ORDERING)
 
 
 class TestFactorizationBackends:
     def factorizations(self, monkeypatch, key, free):
-        """The sweep matrix with its band LU and its sparse LU."""
+        """The sweep matrix with the factorization it is given, its band LU
+        and its sparse LU.  A positive definite matrix needs no
+        regularization, so its two LUs are built directly."""
         active = (~free).tobytes()
         solver._sweep_factorization.cache_clear()
-        m_mat, band = solver._sweep_factorization(*key, active)
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "_BAND_LU_MAX_N_SOLUTION", 0)
-            solver._sweep_factorization.cache_clear()
-            _, sparse = solver._sweep_factorization(*key, active)
+        m_mat, chosen = solver._sweep_factorization(*key, active)
+        if isinstance(chosen, solver._BandCholesky):
+            band, sparse = solver._BandLU(m_mat, key[0]), sparse_lu(m_mat)
+        else:
+            band = chosen
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_BAND_LU_MAX_N_SOLUTION", 0)
+                solver._sweep_factorization.cache_clear()
+                _, sparse = solver._sweep_factorization(*key, active)
         solver._sweep_factorization.cache_clear()
-        return m_mat, band, sparse
+        return m_mat, chosen, band, sparse
 
     @pytest.mark.parametrize("case", sorted(OPERATOR_CASES) + ["xi=0"])
     def test_band_and_sparse_lu_agree(self, monkeypatch, case):
@@ -578,7 +594,7 @@ class TestFactorizationBackends:
         rng = np.random.default_rng(17)
         for free_fraction in (0.0, 0.3, 0.7, 1.0):
             free = rng.random(n_solution**2) < free_fraction
-            m_mat, band, sparse = self.factorizations(monkeypatch, key, free)
+            m_mat, _, band, sparse = self.factorizations(monkeypatch, key, free)
             assert isinstance(band, solver._BandLU) and isinstance(sparse, spla.SuperLU)
             rhs = rng.standard_normal(n_solution**2)
             x_band, x_sparse = band.solve(rhs), sparse.solve(rhs)
@@ -596,9 +612,77 @@ class TestFactorizationBackends:
                 assert backward <= 1e-14 * np.abs(shifted).sum(axis=1).max() * np.abs(x).max()
             assert gap <= 1e-6
 
+    @pytest.mark.parametrize("case", sorted(CHOLESKY_DETAILS))
+    def test_cholesky_agrees_with_lu(self, monkeypatch, case):
+        key = sweep_key(case)
+        n_solution = key[0]
+        rng = np.random.default_rng(23)
+        for free_fraction in (0.0, 0.3, 0.7, 1.0):
+            free = rng.random(n_solution**2) < free_fraction
+            m_mat, chosen, band, sparse = self.factorizations(monkeypatch, key, free)
+            assert isinstance(chosen, solver._BandCholesky)
+            # M is column diagonally dominant, so band LU exchanges no rows
+            # and its pivots are those of M's LU, which the pivot test reads.
+            np.testing.assert_allclose(chosen.pivots, band.pivots, rtol=1e-12)
+            rhs = rng.standard_normal(n_solution**2)
+            x = chosen.solve(rhs)
+            for lu in (band, sparse):
+                x_lu = lu.solve(rhs)
+                assert np.linalg.norm(x - x_lu) <= 1e-12 * np.linalg.norm(x_lu)
+
+    @staticmethod
+    def backend(n_solution, xi, beta1):
+        """The factorization type of ``A`` on an ``n_solution``-node block."""
+        a_mat, _ = solver._step_matrices(
+            n_solution, 1.0 / (n_solution - 1), xi, beta1, 0.05, 0.01
+        )
+        free = np.ones(n_solution**2, dtype=bool)
+        return type(solver._factorize(a_mat, free, xi, beta1, 100.0))
+
     def test_band_lu_up_to_n_solution_65(self):
+        # the indefinite (xi < 0) case; xi > 0 goes to band Cholesky
         for n_solution, backend in ((65, solver._BandLU), (66, spla.SuperLU)):
-            a_mat, _ = solver._step_matrices(
-                n_solution, 1.0 / (n_solution - 1), 0.02, 1.0, 0.05, 0.01
-            )
-            assert isinstance(solver._factorize(a_mat, 100.0, False), backend)
+            assert self.backend(n_solution, -0.02, 1.0) is backend
+
+    @pytest.mark.parametrize(
+        ("xi", "beta1", "n_solution", "backend"),
+        [
+            (-0.08, 1.0, 17, solver._BandLU),
+            (0.0, 1.0, 17, solver._BandLU),
+            (0.0, 1.0, 66, spla.SuperLU),
+            (0.02, 0.0, 17, solver._BandLU),
+            (0.02, 0.0, 66, spla.SuperLU),
+            (0.02, 1.0, 17, solver._BandCholesky),
+            (0.02, 1.0, 65, solver._BandCholesky),
+            (0.02, 1.0, 66, solver._BandCholesky),
+            (0.02, 1.0, 129, solver._BandCholesky),
+        ],
+    )
+    def test_backend_follows_definiteness(self, xi, beta1, n_solution, backend):
+        assert self.backend(n_solution, xi, beta1) is backend
+
+    def test_reference_step_matches_sparse_lu(self, monkeypatch):
+        # One step of the n=128 high-fidelity reference model, the grid the
+        # desk family never reaches, against the same step on sparse LU.
+        config = reference_config()
+        st = config_stencil(config, config.model(1))
+        sim, grid = config.sim, st.grid
+        state = initial_state(grid, ASYM_THETA, sim)
+        solver._sweep_factorization.cache_clear()
+        try:
+            step = time_step(state, st, sim)
+            key = (grid.n_solution, grid.h, st.xi, sim.beta1, sim.beta2, sim.dt)
+            active = (step.active_pos | step.active_neg).tobytes()
+            _, chosen = solver._sweep_factorization(*key, active)
+            assert isinstance(chosen, solver._BandCholesky)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_factorize", lambda m_mat, *args: sparse_lu(m_mat))
+                solver._sweep_factorization.cache_clear()
+                reference = time_step(state, st, sim)
+        finally:
+            solver._sweep_factorization.cache_clear()
+        assert step.residual <= sim.solver_tol
+        assert step.sweeps == reference.sweeps
+        np.testing.assert_array_equal(step.active_pos, reference.active_pos)
+        np.testing.assert_array_equal(step.active_neg, reference.active_neg)
+        np.testing.assert_allclose(step.padded, reference.padded, rtol=0.0, atol=1e-12)
