@@ -149,8 +149,8 @@ def build_grid(n_interior: int, delta_hf: float) -> Grid:
     """
     if n_interior < 1:
         raise ConfigError(f"n_interior must be >= 1, got {n_interior}")
-    if not delta_hf > 0.0:
-        raise ConfigError(f"delta_hf must be positive, got {delta_hf}")
+    if not 0.0 < delta_hf < math.inf:
+        raise ConfigError(f"delta_hf must be positive and finite, got {delta_hf}")
     h = 1.0 / n_interior
     pad = math.ceil(delta_hf / h - _CUTOFF_RTOL)
     return Grid(n_interior=n_interior, pad=max(pad, 1))

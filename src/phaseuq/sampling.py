@@ -46,8 +46,11 @@ class SampleStream:
     tag: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.master_seed, int):
+        if isinstance(self.master_seed, bool) or not isinstance(
+            self.master_seed, (int, np.integer)
+        ):
             raise ConfigError(f"master_seed must be an int, got {self.master_seed!r}")
+        object.__setattr__(self, "master_seed", int(self.master_seed))
         if not self.tag:
             raise ConfigError("stream tag must be non-empty")
 

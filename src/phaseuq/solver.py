@@ -17,29 +17,30 @@ system exchanging unknowns ``u`` (free nodes) and ``lam`` (active nodes), and
 updates the guess from the multiplier sign test until the sets are stable.
 
 The matrix ``M`` of one sweep takes the columns of ``A`` at free nodes and
-those of ``B`` at active nodes.  ``A`` is stored on ``B``'s sparsity pattern,
-so it is assembled by selecting each column's data from one of them.  In the
-natural row-major order it is a 5-point matrix of half-bandwidth
-``n_solution``.  Since ``xi * B[:, j] = A[:, j] - e_j / dt``, scaling the
-columns by ``D = diag(1 on free nodes, xi on active nodes)`` gives
+those of ``B`` at active ones.  ``B`` is symmetric, and in the natural
+row-major order its only nonzero diagonals are 0, +-1 and +-``n_solution``,
+so ``M`` is built from those diagonals of ``B`` alone; ``A`` is never
+assembled.  With ``P_F = diag(1 on free nodes, 0 on active nodes)``,
 
 .. code-block:: text
 
-    M D = P_F / dt + xi * B,      P_F = diag(1 on free nodes, 0 on active nodes),
+    M   = P_F / dt + B E,     E = diag(xi on free nodes, 1 on active nodes),
+    M D = P_F / dt + xi B,    D = diag(1 on free nodes, xi on active nodes).
 
-which is symmetric, and positive definite when ``xi > 0`` and ``beta1 > 0``
-(``B`` is then positive definite).  Its off-diagonal entries equal ``M``'s
-bit for bit, because ``A``'s are ``xi * B``'s.  The factorization follows
-from that definiteness, which the inputs show:
+``M D`` is symmetric, and positive definite when ``xi > 0`` and ``beta1 > 0``.
+On every grid those models get LAPACK's band Cholesky of ``M D`` (``dpbtrf``,
+a band of ``n_solution + 1`` rows), whose solve returns ``D y``; the others
+get band LU of ``M`` (``dgbtrf``, ``3 n_solution + 1`` rows).  In the built-in
+families only reference models 5 and 6 take band LU above ``n_interior = 64``,
+and :func:`check_well_posed` rejects both at their ``dt``.  At a smaller
+``dt``, band LU would be about 1.4 times slower than sparse LU at
+``n_interior = 128`` (76 against 54 ms per factorization on a 2-core machine)
+and hold a 52 MB band (408 MB at ``n_interior = 256``).
 
-* ``xi > 0`` and ``beta1 > 0``: LAPACK's band Cholesky of ``M D``
-  (``dpbtrf``) on every grid, with no pivoting and a band of
-  ``n_solution + 1`` rows; a solve returns ``D y``;
-* otherwise (``xi <= 0`` or ``beta1 = 0``): band LU with partial pivoting
-  (``dgbtrf``) on grids up to ``n_solution = 65``, which has no symbolic phase
-  and little per-call overhead, and above that sparse LU with the
-  minimum-degree ordering of ``M^T + M`` (the matrix is structurally
-  symmetric, which keeps the fill about half that of COLAMD).
+Each residual of a step is one product by ``B``:
+``r(u, lam) = rhs0 - u / dt - B (xi u + lam) = rhs0 - A u - B lam``.  A sweep
+solves ``M x = r(pinned, 0)`` and refines ``x`` once from the residual of that
+solve; the step is accepted when ``max |r(u, lam)|`` is within ``solver_tol``.
 
 A one-entry cache keyed by the operators and the active set carries the last
 factorization to the next call: a step starts from the active sets its
@@ -58,12 +59,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# Unused here, but bench/layers.py patches ``solver.spla`` to trace ``splu``, and
+# ``bench/run.py --trace 1`` fails without the attribute.
+import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import lapack
 
 from .errors import ConfigError, ConvergenceError
@@ -366,14 +369,10 @@ def check_well_posed(
 @lru_cache(maxsize=32)
 def _step_matrices(
     n_solution: int, h: float, xi: float, beta1: float, beta2: float, dt: float
-) -> tuple[sp.csc_matrix, sp.csc_matrix]:
-    """Cached assembly of the operators ``A`` and ``B`` on the solution block.
-
-    Both are returned in CSC form with sorted indices on ``B``'s pattern, so
-    that :func:`_masked_matrix` can pick each column's data from either.
-    ``A = I / dt + xi * B`` fits that pattern because ``B``'s diagonal is
-    positive (``beta1 + beta2 > 0``).
-    """
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+    """Cached ``B`` on the solution block, its diagonal, and its first and
+    ``n_solution``-th subdiagonals (its only other nonzero diagonals below the
+    main one); checks first that the step is well posed."""
     check_well_posed(
         f"the n_interior={n_solution - 1} model with xi={xi:.4g}",
         n_solution, h, xi, beta1, beta2, dt,
@@ -381,49 +380,25 @@ def _step_matrices(
     t1 = _neumann_laplacian_1d(n_solution)
     eye = sp.identity(n_solution, format="csr")
     lap = (sp.kron(eye, t1) + sp.kron(t1, eye)).tocsr() / h**2
-    b_mat = (beta1 * sp.identity(n_solution**2, format="csr") - beta2 * lap).tocsc()
-    columns = np.repeat(np.arange(n_solution**2), np.diff(b_mat.indptr))
-    a_data = xi * b_mat.data + np.where(b_mat.indices == columns, 1.0 / dt, 0.0)
-    a_mat = sp.csc_matrix((a_data, b_mat.indices, b_mat.indptr), shape=b_mat.shape)
-    return a_mat, b_mat
-
-
-def _masked_matrix(
-    a_mat: sp.csc_matrix, b_mat: sp.csc_matrix, free: np.ndarray
-) -> sp.csc_matrix:
-    """The matrix of one sweep: the columns of ``A`` at free nodes and of ``B``
-    at active ones, selected on the operators' shared pattern."""
-    data = np.where(np.repeat(free, np.diff(a_mat.indptr)), a_mat.data, b_mat.data)
-    return sp.csc_matrix((data, a_mat.indices, a_mat.indptr), shape=a_mat.shape)
-
-
-#: Fill-reducing ordering of the sparse LU: minimum degree on ``M^T + M``.
-_ORDERING = "MMD_AT_PLUS_A"
-
-#: Largest ``n_solution`` at which band LU factorizes the sweep matrices that
-#: band Cholesky cannot take; larger grids use sparse LU.  Band-storage build
-#: plus the factorization of one sweep matrix, in ms, best of 9 (of 3 at
-#: n_interior = 256), on a loaded 2-core VM; the ``dpbtrf`` row (band
-#: Cholesky of ``M D``) with one BLAS thread:
-#:
-#:     n_interior   16     24    32    48    64     88     128    256
-#:     band LU      0.08   0.35  0.62  2.4   6.8    20.5   76
-#:     splu         0.75   1.6   2.5   6.0   10.4   21.0   54     266
-#:     dpbtrf       0.06   0.14  0.32  1.1   2.3    5.9    20     197
-#:
-#: At n_interior = 256 the ``dpbtrf`` band alone holds 136 MB.
-_BAND_LU_MAX_N_SOLUTION = 65
+    b_mat = beta1 * sp.identity(n_solution**2, format="csr") - beta2 * lap
+    return b_mat, b_mat.diagonal(0), b_mat.diagonal(-1), b_mat.diagonal(-n_solution)
 
 
 class _BandLU:
-    """LU with partial pivoting of a square matrix of half-bandwidth ``k``,
-    in LAPACK band storage (``dgbtrf``/``dgbtrs``)."""
+    """LU with partial pivoting (``dgbtrf``/``dgbtrs``) of the sweep matrix
+    ``M``, whose diagonal is ``diagonal`` and whose other entries are those of
+    ``B E``; ``lower1`` and ``lower_k`` are ``B``'s first and ``k``-th
+    subdiagonals."""
 
-    def __init__(self, m_mat: sp.csc_matrix, k: int):
-        n = m_mat.shape[0]
+    def __init__(self, diagonal, lower1, lower_k, free, xi):
+        n, k = diagonal.size, diagonal.size - lower_k.size
+        e = np.where(free, xi, 1.0)
         band = np.zeros((3 * k + 1, n), order="F")
-        columns = np.repeat(np.arange(n), np.diff(m_mat.indptr))
-        band[2 * k + m_mat.indices - columns, columns] = m_mat.data
+        band[2 * k] = diagonal
+        band[2 * k + 1, :-1] = lower1 * e[:-1]
+        band[2 * k - 1, 1:] = lower1 * e[1:]
+        band[3 * k, :-k] = lower_k * e[:-k]
+        band[k, k:] = lower_k * e[k:]
         self.k = k
         self.lu, self.ipiv, info = lapack.dgbtrf(band, k, k, overwrite_ab=True)
         if info != 0:
@@ -442,20 +417,17 @@ class _BandLU:
 
 
 class _BandCholesky:
-    """Cholesky factorization ``L L^T`` of ``M D``, for a square matrix ``M``
-    of half-bandwidth ``k`` and a diagonal column scaling ``D`` (the vector
-    ``d``) that makes ``M D`` symmetric positive definite, in LAPACK lower
-    band storage (``dpbtrf``/``dpbtrs``).  It solves ``M x = rhs`` as
-    ``x = D y`` with ``M D y = rhs``."""
+    """Cholesky factorization ``L L^T`` (``dpbtrf``/``dpbtrs``) of ``M D``, for
+    the ``M`` of :class:`_BandLU` with the same arguments; ``M D`` is ``xi B``
+    off its diagonal.  It solves ``M x = rhs`` as ``x = D y``, ``M D y = rhs``."""
 
-    def __init__(self, m_mat: sp.csc_matrix, k: int, d: np.ndarray):
-        n = m_mat.shape[0]
-        columns = np.repeat(np.arange(n), np.diff(m_mat.indptr))
-        lower = m_mat.indices >= columns
-        rows, columns = m_mat.indices[lower], columns[lower]
+    def __init__(self, diagonal, lower1, lower_k, free, xi):
+        n, k = diagonal.size, diagonal.size - lower_k.size
+        self.d = np.where(free, 1.0, xi)
         band = np.zeros((k + 1, n), order="F")
-        band[rows - columns, columns] = m_mat.data[lower] * d[columns]
-        self.d = d
+        band[0] = diagonal * self.d
+        band[1, :-1] = xi * lower1
+        band[k, :-k] = xi * lower_k
         self.factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise RuntimeError(f"band Cholesky failed (dpbtrf info={info})")
@@ -472,16 +444,10 @@ class _BandCholesky:
         return self.d * y
 
 
-def _factorize(
-    m_mat: sp.csc_matrix, free: np.ndarray, xi: float, beta1: float, scale: float
-) -> _BandCholesky | _BandLU | spla.SuperLU:
-    """Factorization of the sweep matrix ``M`` with the nodes ``free``;
-    regularizes singular systems.
-
-    With ``xi > 0`` and ``beta1 > 0``, ``M D`` with ``D = diag(1 on free,
-    xi on active)`` is positive definite, and band Cholesky factorizes it on
-    every grid.  Otherwise band LU factorizes ``M`` up to
-    ``_BAND_LU_MAX_N_SOLUTION`` and sparse LU above.
+def _factorize(diagonal, lower1, lower_k, free, xi, beta1, scale) -> _BandCholesky | _BandLU:
+    """Band Cholesky of ``M D`` when ``xi > 0`` and ``beta1 > 0``, band LU of
+    ``M`` otherwise, for the sweep matrix ``M`` of :class:`_BandLU` with the
+    same first five arguments; regularizes singular systems.
 
     The factorization of an exactly singular matrix may silently produce a
     tiny pivot instead of failing, so in regimes where singularity can occur
@@ -489,24 +455,15 @@ def _factorize(
     explicitly, and a failed or singular factorization is repeated on
     ``M + eps I`` with a tiny ``eps`` (on ``M D + eps D`` for band Cholesky).
     """
-    n_solution = math.isqrt(m_mat.shape[0])
-    sparse = False
-    if xi > 0.0 and beta1 > 0.0:
-        factor = partial(_BandCholesky, k=n_solution, d=np.where(free, 1.0, xi))
-    elif n_solution <= _BAND_LU_MAX_N_SOLUTION:
-        factor = partial(_BandLU, k=n_solution)
-    else:
-        factor, sparse = partial(spla.splu, permc_spec=_ORDERING), True
-
+    factor = _BandCholesky if xi > 0.0 and beta1 > 0.0 else _BandLU
     try:
-        lu = factor(m_mat)
+        lu = factor(diagonal, lower1, lower_k, free, xi)
         if beta1 == 0.0 or not free.any():
-            pivots = np.abs(lu.U.diagonal() if sparse else lu.pivots)
+            pivots = np.abs(lu.pivots)
             if pivots.min() <= 1e-12 * max(pivots.max(), 1.0):
                 raise RuntimeError("numerically singular factorization")
     except RuntimeError:
-        reg = m_mat + 1e-10 * scale * sp.identity(m_mat.shape[0], format="csc")
-        lu = factor(reg.tocsc())
+        lu = factor(diagonal + 1e-10 * scale, lower1, lower_k, free, xi)
     return lu
 
 
@@ -514,8 +471,8 @@ def _factorize(
 def _sweep_factorization(
     n_solution: int, h: float, xi: float, beta1: float, beta2: float, dt: float,
     active: bytes,
-) -> tuple[sp.csc_matrix, _BandCholesky | _BandLU | spla.SuperLU]:
-    """The matrix of one sweep and its factorization, for the operators of
+) -> _BandCholesky | _BandLU:
+    """The factorization of one sweep's matrix, for the operators of
     :func:`_step_matrices` with the same arguments and the active set given
     as the bytes of a boolean mask.
 
@@ -523,11 +480,11 @@ def _sweep_factorization(
     about 17 MB.  It is what the first sweep of each step reuses, since a step
     starts from the sets the previous step converged on.
     """
-    a_mat, b_mat = _step_matrices(n_solution, h, xi, beta1, beta2, dt)
+    _, b_diagonal, lower1, lower_k = _step_matrices(n_solution, h, xi, beta1, beta2, dt)
     free = ~np.frombuffer(active, dtype=bool)
-    m_mat = _masked_matrix(a_mat, b_mat, free)
+    diagonal = np.where(free, xi * b_diagonal + 1.0 / dt, b_diagonal)
     scale = 1.0 / dt + abs(xi) * (beta1 + 8.0 * beta2 / h**2)
-    return m_mat, _factorize(m_mat, free, xi, beta1, scale)
+    return _factorize(diagonal, lower1, lower_k, free, xi, beta1, scale)
 
 
 def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> StepState:
@@ -543,11 +500,14 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
     if stencil.grid != grid:
         raise ConfigError("stencil was built for a different grid")
     key = (grid.n_solution, grid.h, stencil.xi, sim.beta1, sim.beta2, sim.dt)
-    a_mat, b_mat = _step_matrices(*key)
+    b_mat = _step_matrices(*key)[0]
     sol = grid.solution_slice
     g = convolve(stencil, state.padded).ravel()
     u_prev = state.padded[sol, sol].ravel()
     rhs0 = u_prev / sim.dt + b_mat @ g
+
+    def residual(u, lam):  # rhs0 - A u - B lam, with one product by B
+        return rhs0 - u / sim.dt - b_mat @ (stencil.xi * u + lam)
 
     active_pos = state.active_pos.copy()
     active_neg = state.active_neg.copy()
@@ -559,10 +519,9 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
         active = active_pos | active_neg
         free = ~active
         pinned = np.where(active_pos, 1.0, 0.0) - np.where(active_neg, 1.0, 0.0)
-        m_mat, lu = _sweep_factorization(*key, active.tobytes())
-        rhs = rhs0 - a_mat @ pinned
-        x = lu.solve(rhs)
-        x += lu.solve(rhs - m_mat @ x)
+        lu = _sweep_factorization(*key, active.tobytes())
+        x = lu.solve(residual(pinned, 0.0))
+        x += lu.solve(residual(pinned + np.where(free, x, 0.0), np.where(active, x, 0.0)))
         u = pinned + np.where(free, x, 0.0)
         lam = np.where(active, x, 0.0)
         c = sim.active_set_c
@@ -573,15 +532,15 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
             break
         active_pos, active_neg = new_pos, new_neg
 
-    residual = float(np.abs(a_mat @ u + b_mat @ lam - rhs0).max())
+    max_residual = float(np.abs(residual(u, lam)).max())
     if not converged:
         raise ConvergenceError(
             f"active sets did not stabilize in {sim.max_sweeps} sweeps at "
-            f"t={state.t + sim.dt:.6g} (last residual {residual:.3e})"
+            f"t={state.t + sim.dt:.6g} (last residual {max_residual:.3e})"
         )
-    if not residual <= sim.solver_tol:  # also catches a NaN residual
+    if not max_residual <= sim.solver_tol:  # also catches a NaN residual
         raise ConvergenceError(
-            f"linear residual {residual:.3e} exceeds solver_tol={sim.solver_tol:.3e} "
+            f"linear residual {max_residual:.3e} exceeds solver_tol={sim.solver_tol:.3e} "
             f"at t={state.t + sim.dt:.6g}"
         )
 
@@ -597,7 +556,7 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
         active_neg=active_neg,
         t=state.t + sim.dt,
         sweeps=sweeps,
-        residual=residual,
+        residual=max_residual,
     )
 
 

@@ -32,6 +32,7 @@ from phaseuq import (
     allocate_below_minimum,
     desk_config,
     enumerate_feasible_subsets,
+    evaluate_model,
     mc_estimate,
     mfmc_estimate,
     pilot_stream,
@@ -39,7 +40,7 @@ from phaseuq import (
     replicate_stream,
     run_mse_study,
 )
-from phaseuq import campaign
+from phaseuq import campaign, solver
 from phaseuq.artifacts import (
     decode,
     parse_subset_label,
@@ -643,6 +644,31 @@ class TestBlasThreads:
         with EvalEngine(replace(micro_config, workers=2)) as engine:
             counts = [engine._executor().submit(scipy_blas_threads) for _ in range(4)]
             assert [count.result(timeout=60) for count in counts] == [1] * 4
+
+    def test_evaluations_do_not_depend_on_blas_threads(self):
+        # desk-campaign's exact check compares pinned pool workers with the
+        # unpinned driving process; this is the property it rests on.
+        config = desk_config()
+        stream = pilot_stream(config.master_seed)
+        controls = campaign._openblas_thread_controls()
+        assert controls
+        before = [(set_threads, get()) for get, set_threads in controls]
+        values = {}
+        try:
+            for threads in (1, 2):
+                for _, set_threads in controls:
+                    set_threads(threads)
+                solver._sweep_factorization.cache_clear()
+                values[threads] = [
+                    evaluate_model(model, stream.theta(i), config.kernel_for(model), config.sim)
+                    .value
+                    for i in range(2)
+                    for model in config.models
+                ]
+        finally:
+            for set_threads, count in before:
+                set_threads(count)
+        assert len(values[1]) == 18 and values[1] == values[2]
 
     def test_serial_evaluation_pins_then_restores(self, micro_config, monkeypatch):
         counts = []

@@ -119,6 +119,8 @@ class TestGrid:
             build_grid(0, 0.25)
         with pytest.raises(ConfigError):
             build_grid(8, 0.0)
+        with pytest.raises(ConfigError, match="delta_hf must be positive and finite"):
+            build_grid(16, math.inf)
 
 
 class TestStencil:

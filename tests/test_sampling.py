@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from phaseuq import (
+    ConfigError,
     DEPTH_RANGE,
     SHIFT_RANGE,
     RandomInputs,
@@ -29,6 +31,18 @@ class TestDeterminism:
         again = SampleStream(2026, "pilot").theta(5)
         np.testing.assert_array_equal(late.to_flat(), again.to_flat())
         assert not np.array_equal(early.to_flat(), late.to_flat())
+
+    def test_master_seed_is_an_integer(self):
+        # A numpy integer is the stream of the equal Python int; a bool is
+        # not a seed.
+        stream = SampleStream(np.int64(3), "pilot")
+        assert stream == SampleStream(3, "pilot") and type(stream.master_seed) is int
+        np.testing.assert_array_equal(
+            stream.theta(4).to_flat(), SampleStream(3, "pilot").theta(4).to_flat()
+        )
+        for seed in (True, np.bool_(False), 3.0, "3"):
+            with pytest.raises(ConfigError, match="master_seed must be an int"):
+                SampleStream(seed, "pilot")
 
     def test_batch_matches_individual(self):
         stream = validation_stream(123)

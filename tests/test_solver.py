@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.linalg import lapack
 from scipy.ndimage import label
 
 from oracles import dense_operators, enumerate_obstacle_step, naive_convolution
@@ -432,25 +433,22 @@ class TestWellPosedness:
 
 
 def model_operators(model_id: int, config=desk_config(), **sim_changes):
-    """The stencil, step settings and cached ``(A, B)`` of a model of
-    ``config``, the desk family by default."""
+    """The stencil, step settings and :func:`solver._sweep_factorization`
+    operator key of a model of ``config``, the desk family by default."""
     st = config_stencil(config, config.model(model_id))
     sim = replace(config.sim, **sim_changes)
-    grid = st.grid
-    operators = solver._step_matrices(
-        grid.n_solution, grid.h, st.xi, sim.beta1, sim.beta2, sim.dt
-    )
-    return st, sim, operators
+    key = (st.grid.n_solution, st.grid.h, st.xi, sim.beta1, sim.beta2, sim.dt)
+    return st, sim, key
 
 
 class TestFactorizationReuse:
     def run(self, monkeypatch, clear_every_step: bool):
         st, sim, _ = model_operators(9)
-        factorize, matrices = solver._factorize, []
+        factorize, masks = solver._factorize, []
 
-        def counting_factorize(m_mat, *args):
-            matrices.append(m_mat.copy())
-            return factorize(m_mat, *args)
+        def counting_factorize(diagonal, lower1, lower_k, free, *args):
+            masks.append(free.copy())
+            return factorize(diagonal, lower1, lower_k, free, *args)
 
         monkeypatch.setattr(solver, "_factorize", counting_factorize)
         solver._sweep_factorization.cache_clear()
@@ -458,26 +456,23 @@ class TestFactorizationReuse:
 
         def record(state):
             states.append(state)
-            factorizations.append(len(matrices))
+            factorizations.append(len(masks))
             if clear_every_step:
                 solver._sweep_factorization.cache_clear()
 
         run_simulation(st.grid, st, ASYM_THETA, sim, on_step=record)
         per_step = np.diff(factorizations)
-        return states, per_step, matrices
+        return states, per_step, masks
 
     def test_step_boundary_reuses_the_last_factorization(self, monkeypatch):
-        states, per_step, matrices = self.run(monkeypatch, clear_every_step=False)
+        states, per_step, masks = self.run(monkeypatch, clear_every_step=False)
         sweeps = np.array([s.sweeps for s in states[1:]])
         assert len(sweeps) == 10 and sweeps.sum() > len(sweeps)
         assert per_step[0] == sweeps[0]
         np.testing.assert_array_equal(per_step[1:], sweeps[1:] - 1)
-        for first, second in zip(matrices, matrices[1:]):
-            assert not (
-                np.array_equal(first.indptr, second.indptr)
-                and np.array_equal(first.indices, second.indices)
-                and np.array_equal(first.data, second.data)
-            )
+        # the sweep matrix of a model is fixed by its free set
+        for first, second in zip(masks, masks[1:]):
+            assert not np.array_equal(first, second)
 
     def test_trajectory_unchanged_without_reuse(self, monkeypatch):
         reused, _, _ = self.run(monkeypatch, clear_every_step=False)
@@ -499,45 +494,138 @@ OPERATOR_DETAILS = {
 }
 OPERATOR_CASES = {case: details[2] for case, details in OPERATOR_DETAILS.items()}
 #: Cases with xi > 0 and beta1 > 0, whose sweep matrices band Cholesky factorizes.
-CHOLESKY_DETAILS = {
-    "desk-n32": OPERATOR_DETAILS["desk-n32"],
-    "reference-n64": model_operators(8, reference_config()),
+CHOLESKY_CASES = {
+    "desk-n32": OPERATOR_CASES["desk-n32"],
+    "reference-n64": model_operators(8, reference_config())[2],
 }
+FREE_FRACTIONS = (0.0, 0.3, 0.7, 1.0)
+
+
+def sweep_key(case):
+    """The :func:`solver._sweep_factorization` operator key of a case."""
+    if case == "xi=0":
+        return (9, 1.0 / 8, 0.0, 1.0, 0.05, 0.01)
+    return (OPERATOR_CASES | CHOLESKY_CASES)[case]
+
+
+def sweep_matrix(key, free):
+    """The sweep matrix ``A P_F + B P_A`` of the nodes ``free``, dense, with
+    ``A = I / dt + xi B`` assembled from the solver's ``B``."""
+    n_solution, h, xi, beta1, beta2, dt = key
+    b_dense = solver._step_matrices(*key)[0].toarray()
+    a_dense = np.eye(n_solution**2) / dt + xi * b_dense
+    return a_dense * free + b_dense * ~free
+
+
+def regularization_shift(key):
+    """The ``eps`` that the solver adds to the diagonal of a singular sweep matrix."""
+    n_solution, h, xi, beta1, beta2, dt = key
+    return 1e-10 * (1.0 / dt + abs(xi) * (beta1 + 8.0 * beta2 / h**2))
+
+
+def general_band(m_dense, k):
+    """``m_dense`` in the ``dgbtrf`` layout with ``k`` sub- and superdiagonals."""
+    n = len(m_dense)
+    band = np.zeros((3 * k + 1, n))
+    for offset in range(-k, k + 1):
+        band[2 * k - offset, max(offset, 0):n + min(offset, 0)] = np.diagonal(m_dense, offset)
+    return band
+
+
+def lower_band(s_dense, k):
+    """The lower triangle of ``s_dense`` in the ``dpbtrf`` layout with ``k``
+    subdiagonals."""
+    n = len(s_dense)
+    band = np.zeros((k + 1, n))
+    for offset in range(k + 1):
+        band[offset, :n - offset] = np.diagonal(s_dense, -offset)
+    return band
+
+
+class RecordingLapack:
+    """The solver's ``lapack`` with a copy kept of each band it factorizes."""
+
+    def __init__(self):
+        self.bands = []
+
+    def dgbtrf(self, band, *args, **kwargs):
+        self.bands.append(band.copy())
+        return lapack.dgbtrf(band, *args, **kwargs)
+
+    def dpbtrf(self, band, *args, **kwargs):
+        self.bands.append(band.copy())
+        return lapack.dpbtrf(band, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(lapack, name)
+
+
+def sweep_factors(key, free):
+    """Every factorization the sweep matrix of ``free`` gets through
+    :func:`solver._sweep_factorization`, by type, with the bands LAPACK was
+    given for it: the one the solver chooses, and band LU, the one it would
+    choose if band Cholesky were not there."""
+    factors = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for as_band_lu in (False, True):
+            if as_band_lu:
+                patch.setattr(solver, "_BandCholesky", solver._BandLU)
+            recorder = RecordingLapack()
+            patch.setattr(solver, "lapack", recorder)
+            solver._sweep_factorization.cache_clear()
+            factor = solver._sweep_factorization(*key, (~free).tobytes())
+            factors[type(factor)] = factor, recorder.bands
+    solver._sweep_factorization.cache_clear()
+    return factors
+
+
+def check_band_inputs(key, free):
+    """The bands LAPACK is given for the sweep matrix of ``free`` are those of
+    dense ``M = A P_F + B P_A`` (``dgbtrf``) and ``M D`` (``dpbtrf``),
+    exactly, with ``eps`` on ``M``'s diagonal when it is regularized."""
+    n_solution, h, xi, beta1 = key[:4]
+    m_dense = sweep_matrix(key, free)
+    factors = sweep_factors(key, free)
+    assert set(factors) == (
+        {solver._BandLU, solver._BandCholesky} if xi > 0.0 and beta1 > 0.0 else {solver._BandLU}
+    )
+    shifts = (0.0, regularization_shift(key))
+    for backend, (_, bands) in factors.items():
+        # Only B alone with beta1 = 0 is singular.
+        assert len(bands) == (2 if beta1 == 0.0 and not free.any() else 1)
+        for band, shift in zip(bands, shifts):
+            m_shifted = m_dense + shift * np.eye(len(m_dense))
+            if backend is solver._BandLU:
+                expected = general_band(m_shifted, n_solution)
+            else:
+                expected = lower_band(m_shifted * np.where(free, 1.0, xi), n_solution)
+            np.testing.assert_array_equal(band, expected)
 
 
 class TestMaskedAssembly:
+    """Both band factorizations assemble the sweep matrix, ``A``'s columns at
+    free nodes and ``B``'s at active ones, from ``B``'s three diagonals."""
+
     @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
     def test_operators_share_a_sorted_pattern(self, case):
-        a_mat, b_mat = OPERATOR_CASES[case]
-        assert a_mat.format == b_mat.format == "csc"
-        assert a_mat.has_sorted_indices and b_mat.has_sorted_indices
-        np.testing.assert_array_equal(a_mat.indptr, b_mat.indptr)
-        np.testing.assert_array_equal(a_mat.indices, b_mat.indices)
-        assert np.all(a_mat.data != 0.0) and np.all(b_mat.data != 0.0)
+        # B, the operator of every residual, is exactly the sum of the
+        # diagonals both band factorizations read, and matches the
+        # node-by-node assembly of the oracle.
+        n_solution, h, xi, beta1, beta2, dt = key = OPERATOR_CASES[case]
+        b_mat, diagonal, lower1, lower_k = solver._step_matrices(*key)
+        assert b_mat.format == "csr" and b_mat.has_sorted_indices
+        offsets = [-n_solution, -1, 0, 1, n_solution]
+        rebuilt = sp.diags([lower_k, lower1, diagonal, lower1, lower_k], offsets)
+        np.testing.assert_array_equal(b_mat.toarray(), rebuilt.toarray())
+        _, b_oracle = dense_operators(n_solution, h, beta1, beta2, dt, xi)
+        np.testing.assert_allclose(b_mat.toarray(), b_oracle, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("case", sorted(OPERATOR_CASES) + ["xi=0"])
     def test_a_is_identity_over_dt_plus_xi_b(self, case):
-        if case == "xi=0":
-            xi, dt = 0.0, 0.01
-            a_mat, b_mat = solver._step_matrices(9, 1.0 / 8, xi, 1.0, 0.05, dt)
-        else:
-            st, sim, (a_mat, b_mat) = OPERATOR_DETAILS[case]
-            xi, dt = st.xi, sim.dt
-        eye = np.eye(a_mat.shape[0])
-        np.testing.assert_array_equal(a_mat.toarray(), eye / dt + xi * b_mat.toarray())
-
-    def test_degenerate_operators_are_padded_to_a_shared_pattern(self):
-        # With xi = 0, A = I / dt has no off-diagonal nonzeros; it is stored
-        # on B's 5-point pattern with explicit zeros.
-        a_mat, b_mat = solver._step_matrices(9, 1.0 / 8, 0.0, 1.0, 0.05, 0.01)
-        np.testing.assert_array_equal(a_mat.indptr, b_mat.indptr)
-        np.testing.assert_array_equal(a_mat.indices, b_mat.indices)
-        np.testing.assert_array_equal(a_mat.toarray(), np.eye(81) / 0.01)
-        free = np.random.default_rng(5).random(81) < 0.5
-        summed = a_mat.multiply(free[None, :]) + b_mat.multiply(~free[None, :])
-        np.testing.assert_array_equal(
-            solver._masked_matrix(a_mat, b_mat, free).toarray(), summed.toarray()
-        )
+        key = sweep_key(case)
+        rng = np.random.default_rng(11)
+        for free_fraction in FREE_FRACTIONS:
+            check_band_inputs(key, rng.random(key[0] ** 2) < free_fraction)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -546,112 +634,65 @@ class TestMaskedAssembly:
         free_fraction=hst.floats(0.0, 1.0),
     )
     def test_selection_matches_masked_products(self, case, seed, free_fraction):
-        a_mat, b_mat = OPERATOR_CASES[case]
-        free = np.random.default_rng(seed).random(a_mat.shape[1]) < free_fraction
-        selected = solver._masked_matrix(a_mat, b_mat, free)
-        summed = (a_mat.multiply(free[None, :]) + b_mat.multiply(~free[None, :])).tocsc()
-        np.testing.assert_array_equal(selected.indptr, summed.indptr)
-        np.testing.assert_array_equal(selected.indices, summed.indices)
-        np.testing.assert_array_equal(selected.data, summed.data)
-
-
-def sweep_key(case):
-    """The :func:`solver._sweep_factorization` operator key of a case."""
-    if case == "xi=0":
-        return (9, 1.0 / 8, 0.0, 1.0, 0.05, 0.01)
-    st, sim, _ = (OPERATOR_DETAILS | CHOLESKY_DETAILS)[case]
-    return (st.grid.n_solution, st.grid.h, st.xi, sim.beta1, sim.beta2, sim.dt)
-
-
-def sparse_lu(m_mat):
-    """The sparse LU that sweep matrices above ``_BAND_LU_MAX_N_SOLUTION`` get."""
-    return spla.splu(m_mat, permc_spec=solver._ORDERING)
+        key = OPERATOR_CASES[case]
+        check_band_inputs(key, np.random.default_rng(seed).random(key[0] ** 2) < free_fraction)
 
 
 class TestFactorizationBackends:
-    def factorizations(self, monkeypatch, key, free):
-        """The sweep matrix with the factorization it is given, its band LU
-        and its sparse LU.  A positive definite matrix needs no
-        regularization, so its two LUs are built directly."""
-        active = (~free).tobytes()
-        solver._sweep_factorization.cache_clear()
-        m_mat, chosen = solver._sweep_factorization(*key, active)
-        if isinstance(chosen, solver._BandCholesky):
-            band, sparse = solver._BandLU(m_mat, key[0]), sparse_lu(m_mat)
-        else:
-            band = chosen
-            with monkeypatch.context() as patch:
-                patch.setattr(solver, "_BAND_LU_MAX_N_SOLUTION", 0)
-                solver._sweep_factorization.cache_clear()
-                _, sparse = solver._sweep_factorization(*key, active)
-        solver._sweep_factorization.cache_clear()
-        return m_mat, chosen, band, sparse
-
     @pytest.mark.parametrize("case", sorted(OPERATOR_CASES) + ["xi=0"])
-    def test_band_and_sparse_lu_agree(self, monkeypatch, case):
+    def test_band_and_sparse_lu_agree(self, case):
+        # Each backend against scipy's sparse LU of the dense sweep matrix.
         key = sweep_key(case)
-        n_solution, h, xi, beta1, beta2, dt = key
+        n_solution, beta1 = key[0], key[3]
         rng = np.random.default_rng(17)
-        for free_fraction in (0.0, 0.3, 0.7, 1.0):
+        for free_fraction in FREE_FRACTIONS:
             free = rng.random(n_solution**2) < free_fraction
-            m_mat, _, band, sparse = self.factorizations(monkeypatch, key, free)
-            assert isinstance(band, solver._BandLU) and isinstance(sparse, spla.SuperLU)
+            m_dense = sweep_matrix(key, free)
             rhs = rng.standard_normal(n_solution**2)
-            x_band, x_sparse = band.solve(rhs), sparse.solve(rhs)
-            gap = np.linalg.norm(x_band - x_sparse) / np.linalg.norm(x_sparse)
-            if beta1 > 0.0 or free.any():
-                assert gap <= 1e-12
-                continue
-            # B alone is singular, so both regularize with the same shift.
-            # The shifted system's condition number is about 1e10, so the two
-            # agree only to about 1e-8, but each solves it to round-off.
-            shift = 1e-10 * (1.0 / dt + abs(xi) * (beta1 + 8.0 * beta2 / h**2))
-            shifted = (m_mat + shift * sp.identity(n_solution**2)).toarray()
-            for x in (x_band, x_sparse):
-                backward = np.abs(shifted @ x - rhs).max()
-                assert backward <= 1e-14 * np.abs(shifted).sum(axis=1).max() * np.abs(x).max()
-            assert gap <= 1e-6
+            singular = beta1 == 0.0 and not free.any()
+            if singular:
+                m_dense += regularization_shift(key) * np.eye(n_solution**2)
+            x_sparse = spla.splu(sp.csc_matrix(m_dense)).solve(rhs)
+            for factor, _ in sweep_factors(key, free).values():
+                x = factor.solve(rhs)
+                gap = np.linalg.norm(x - x_sparse) / np.linalg.norm(x_sparse)
+                if not singular:
+                    assert gap <= 1e-12
+                    continue
+                # B alone is singular, so the solver regularizes with a tiny
+                # shift.  The shifted system's condition number is about 1e10,
+                # so the two agree only to about 1e-8, but each solves it to
+                # round-off.
+                for y in (x, x_sparse):
+                    backward = np.abs(m_dense @ y - rhs).max()
+                    assert backward <= 1e-14 * np.abs(m_dense).sum(axis=1).max() * np.abs(y).max()
+                assert gap <= 1e-6
 
-    @pytest.mark.parametrize("case", sorted(CHOLESKY_DETAILS))
-    def test_cholesky_agrees_with_lu(self, monkeypatch, case):
+    @pytest.mark.parametrize("case", sorted(CHOLESKY_CASES))
+    def test_cholesky_agrees_with_lu(self, case):
         key = sweep_key(case)
         n_solution = key[0]
         rng = np.random.default_rng(23)
-        for free_fraction in (0.0, 0.3, 0.7, 1.0):
+        for free_fraction in FREE_FRACTIONS:
             free = rng.random(n_solution**2) < free_fraction
-            m_mat, chosen, band, sparse = self.factorizations(monkeypatch, key, free)
-            assert isinstance(chosen, solver._BandCholesky)
+            factors = sweep_factors(key, free)
+            chosen, _ = factors[solver._BandCholesky]
+            band, _ = factors[solver._BandLU]
             # M is column diagonally dominant, so band LU exchanges no rows
             # and its pivots are those of M's LU, which the pivot test reads.
             np.testing.assert_allclose(chosen.pivots, band.pivots, rtol=1e-12)
             rhs = rng.standard_normal(n_solution**2)
-            x = chosen.solve(rhs)
-            for lu in (band, sparse):
-                x_lu = lu.solve(rhs)
-                assert np.linalg.norm(x - x_lu) <= 1e-12 * np.linalg.norm(x_lu)
-
-    @staticmethod
-    def backend(n_solution, xi, beta1):
-        """The factorization type of ``A`` on an ``n_solution``-node block."""
-        a_mat, _ = solver._step_matrices(
-            n_solution, 1.0 / (n_solution - 1), xi, beta1, 0.05, 0.01
-        )
-        free = np.ones(n_solution**2, dtype=bool)
-        return type(solver._factorize(a_mat, free, xi, beta1, 100.0))
-
-    def test_band_lu_up_to_n_solution_65(self):
-        # the indefinite (xi < 0) case; xi > 0 goes to band Cholesky
-        for n_solution, backend in ((65, solver._BandLU), (66, spla.SuperLU)):
-            assert self.backend(n_solution, -0.02, 1.0) is backend
+            x, x_lu = chosen.solve(rhs), band.solve(rhs)
+            assert np.linalg.norm(x - x_lu) <= 1e-12 * np.linalg.norm(x_lu)
 
     @pytest.mark.parametrize(
         ("xi", "beta1", "n_solution", "backend"),
         [
             (-0.08, 1.0, 17, solver._BandLU),
             (0.0, 1.0, 17, solver._BandLU),
-            (0.0, 1.0, 66, spla.SuperLU),
+            (0.0, 1.0, 66, solver._BandLU),
             (0.02, 0.0, 17, solver._BandLU),
-            (0.02, 0.0, 66, spla.SuperLU),
+            (0.02, 0.0, 66, solver._BandLU),
             (0.02, 1.0, 17, solver._BandCholesky),
             (0.02, 1.0, 65, solver._BandCholesky),
             (0.02, 1.0, 66, solver._BandCholesky),
@@ -659,24 +700,38 @@ class TestFactorizationBackends:
         ],
     )
     def test_backend_follows_definiteness(self, xi, beta1, n_solution, backend):
-        assert self.backend(n_solution, xi, beta1) is backend
+        # The backend depends on xi and beta1 alone, on every grid.
+        key = (n_solution, 1.0 / (n_solution - 1), xi, beta1, 0.05, 0.01)
+        solver._sweep_factorization.cache_clear()
+        try:
+            factor = solver._sweep_factorization(*key, bytes(n_solution**2))
+        finally:
+            solver._sweep_factorization.cache_clear()
+        assert type(factor) is backend
 
     def test_reference_step_matches_sparse_lu(self, monkeypatch):
         # One step of the n=128 high-fidelity reference model, the grid the
-        # desk family never reaches, against the same step on sparse LU.
+        # desk family never reaches, against the same step on scipy's sparse
+        # LU of the sweep matrix assembled from A and B.
         config = reference_config()
         st = config_stencil(config, config.model(1))
         sim, grid = config.sim, st.grid
+        key = (grid.n_solution, grid.h, st.xi, sim.beta1, sim.beta2, sim.dt)
+        b_mat = solver._step_matrices(*key)[0]
+        a_mat = sp.identity(grid.n_solution**2) / sim.dt + st.xi * b_mat
+
+        def sparse_lu(diagonal, lower1, lower_k, free, *args):
+            m_mat = a_mat @ sp.diags(free * 1.0) + b_mat @ sp.diags(~free * 1.0)
+            return spla.splu(m_mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
         state = initial_state(grid, ASYM_THETA, sim)
         solver._sweep_factorization.cache_clear()
         try:
             step = time_step(state, st, sim)
-            key = (grid.n_solution, grid.h, st.xi, sim.beta1, sim.beta2, sim.dt)
             active = (step.active_pos | step.active_neg).tobytes()
-            _, chosen = solver._sweep_factorization(*key, active)
-            assert isinstance(chosen, solver._BandCholesky)
+            assert isinstance(solver._sweep_factorization(*key, active), solver._BandCholesky)
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "_factorize", lambda m_mat, *args: sparse_lu(m_mat))
+                patch.setattr(solver, "_factorize", sparse_lu)
                 solver._sweep_factorization.cache_clear()
                 reference = time_step(state, st, sim)
         finally:

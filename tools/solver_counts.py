@@ -1,9 +1,9 @@
 """Noise-free solver counts of a checkout, and the timing of an n=64 pilot.
 
 Counts the factorizations, active-set sweeps and solves of the two serial
-bench round sets at one seed, per factorization backend, by wrapping
-``solver._factorize`` (and the ``solve`` of each factor it returns) and
-``solver.time_step``:
+bench round sets at one seed, per factorization backend (``BandCholesky`` or
+``BandLU``), by wrapping ``solver._factorize`` (and the ``solve`` of each
+factor it returns) and ``solver.time_step``:
 
 * ``hf-reference``: the first 10 steps of reference model 1 (n=128) from
   pilot inputs 0-2;
@@ -11,7 +11,8 @@ bench round sets at one seed, per factorization backend, by wrapping
 
 These counts repeat exactly from run to run and do not depend on how the
 sweep matrix is factorized, so they compare two versions of the solver where
-``bench/layers.py``, which counts ``splu`` calls only, cannot.
+``bench/layers.py`` cannot: it counts ``splu`` calls only, and the solver
+makes none.
 
 Then it times ``run_pilot`` of a two-model n=64 family (delta 0.25 and
 0.1875, ``t_final`` 0.1, 6 pilot samples) at ``workers`` 1 and 2, in
