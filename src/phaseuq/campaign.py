@@ -35,7 +35,6 @@ from .mfmc import (
     ModelStats,
     SubsetCandidate,
     allocate,
-    allocate_below_minimum,
     estimator_variance,
     empirical_mse,
     mc_estimate,
@@ -164,6 +163,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.version != _CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {self.version}")
+        # The pilot stream checks the seed and holds a numpy integer as an int.
+        object.__setattr__(self, "master_seed", pilot_stream(self.master_seed).master_seed)
         if not self.models:
             raise ConfigError("campaign needs at least one model")
         ids = [m.model_id for m in self.models]
@@ -440,20 +441,16 @@ def build_plan(
     budget: float,
     allow_below_minimum: bool = True,
 ) -> AllocationPlan:
-    """Allocate a budget over a chosen subset, dispatching on the regime.
-
-    A one-model subset (plain Monte Carlo) has no below-minimum regime: its
-    staircase is its minimum budget, so it always takes the optimal
-    allocation, which buys ``floor(budget / c1)`` samples or raises.
-    """
-    if budget >= candidate.b_min or len(candidate.model_ids) == 1:
-        return allocate(stats, candidate.model_ids, budget)
-    if not allow_below_minimum:
+    """Allocate a budget over a chosen subset with
+    :func:`phaseuq.mfmc.allocate`, refusing a below-minimum plan unless
+    ``allow_below_minimum``."""
+    plan = allocate(stats, candidate.model_ids, budget)
+    if plan.below_minimum and not allow_below_minimum:
         raise InsufficientBudgetError(
             f"budget {budget:.6g} s is below the minimum budget "
             f"{candidate.b_min:.6g} s of subset {candidate.model_ids}"
         )
-    return allocate_below_minimum(stats, candidate.model_ids, budget)
+    return plan
 
 
 def run_estimate(engine: EvalEngine, plan: AllocationPlan, tag: str) -> EstimationResult:

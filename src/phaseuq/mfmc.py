@@ -5,8 +5,9 @@ high-fidelity model, cost per sample, output standard deviation), this module
 
 * orders models by decreasing squared correlation,
 * tests which subsets admit a variance reduction over plain Monte Carlo,
-* allocates an evaluation budget across the chosen subset, also when the
-  budget is below the smallest budget that supports the optimal allocation,
+* allocates an evaluation budget across the chosen subset with one rule that
+  picks its own regime: the optimal allocation, or, below the smallest budget
+  that supports it, a staircase of pinned leading levels,
 * combines model outputs into the control-variate estimate, and
 * provides the matching theoretical and empirical mean-squared errors.
 
@@ -47,7 +48,6 @@ __all__ = [
     "resolve_case",
     "sample_ratios",
     "allocate",
-    "allocate_below_minimum",
     "estimator_variance",
     "theoretical_mse",
     "mfmc_estimate",
@@ -58,10 +58,6 @@ __all__ = [
 #: Additive nudge applied before flooring real-valued sample counts, so that
 #: counts that are integers up to roundoff are not truncated by one.
 _FLOOR_NUDGE = 1e-9
-
-
-def _floor_counts(values: np.ndarray) -> np.ndarray:
-    return np.floor(np.asarray(values) + _FLOOR_NUDGE).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,8 +320,7 @@ def _order_key(stats: ModelStats, position: int):
 def order_models(stats: ModelStats) -> tuple[int, ...]:
     """All model ids in estimator order: high-fidelity first, then by
     decreasing squared correlation (ties: cheaper first, then lower id)."""
-    positions = sorted(range(len(stats.ids)), key=lambda p: _order_key(stats, p))
-    return tuple(stats.ids[p] for p in positions)
+    return order_subset(stats, stats.ids)
 
 
 def order_subset(stats: ModelStats, model_ids: Sequence[int]) -> tuple[int, ...]:
@@ -490,95 +485,71 @@ def resolve_case(stats: ModelStats, case: str) -> SubsetCandidate:
     )
 
 
-def _alphas(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return rho[1:] * sigma[0] / sigma[1:]
+def allocate(stats: ModelStats, model_ids: Sequence[int], budget: float) -> AllocationPlan:
+    """Integer allocation of ``budget`` seconds over a feasible subset.
 
+    With ``r`` the optimal sample ratios and ``b_min = dot(cost, r)`` the
+    subset's minimum budget (:func:`minimum_budget`), a budget of at least
+    ``b_min`` gets the floored optimal counts ``floor(budget / b_min * r)``.
 
-def _require_finite(budget: float) -> None:
+    A budget below ``b_min`` gives a subset of two or more models a
+    ``below_minimum`` plan.  Walking up the interior levels of the same
+    real-valued counts, each level ``j`` (1-based) whose count falls below
+    ``j`` pins levels ``1..j`` to counts ``1..j``, and the remaining budget is
+    re-optimized over the tail with level ``j+1`` as its reference.  The
+    plan's ratios are its real-valued counts over the first.  The budget must
+    cover the fully pinned staircase ``sum_j j * cost_j``.
+
+    A one-model subset is plain Monte Carlo: its minimum budget is ``c1``, it
+    has no staircase, and it buys ``floor(budget / c1)`` samples, at least one.
+    A non-finite budget, or one whose counts overflow an int64, is a
+    :class:`ConfigError`.
+    """
     if not np.isfinite(budget):
         raise ConfigError(f"budget must be finite, got {budget}")
-
-
-def allocate(stats: ModelStats, model_ids: Sequence[int], budget: float) -> AllocationPlan:
-    """Optimal integer allocation of ``budget`` seconds over a feasible subset.
-
-    Requires ``budget >= minimum_budget``; counts are the floored optimal
-    real-valued allocation.
-    """
-    _require_finite(budget)
     ordered, rho, cost, sigma = _subset_arrays(stats, model_ids)
-    r = sample_ratios(stats, model_ids)
-    denom = float(np.dot(cost, r))
-    m1 = budget / denom
-    if m1 < 1.0 - _FLOOR_NUDGE:
-        if len(ordered) == 1:
-            raise InsufficientBudgetError(
-                f"budget {budget:.6g} s buys no high-fidelity sample (cost {denom:.6g} s)"
-            )
-        raise InsufficientBudgetError(
-            f"budget {budget:.6g} s is below the minimum budget {denom:.6g} s of "
-            f"subset {ordered}; use the below-minimum allocation"
-        )
-    samples = _floor_counts(m1 * r)
-    predicted = float(np.dot(cost, samples))
-    return AllocationPlan(
-        model_ids=ordered,
-        alpha=_alphas(rho, sigma),
-        ratios=r,
-        samples=samples,
-        budget=float(budget),
-        predicted_cost=predicted,
-        below_minimum=False,
-    )
-
-
-def allocate_below_minimum(
-    stats: ModelStats, model_ids: Sequence[int], budget: float
-) -> AllocationPlan:
-    """Allocation for budgets below the subset's minimum budget.
-
-    Starting from the optimal real-valued allocation, repeatedly find the
-    first interior level ``j`` whose count falls below ``j`` (1-based), pin
-    levels ``1..j`` to counts ``1..j``, and re-optimize the remaining budget
-    over the tail with level ``j+1`` as its reference.  Requires the budget to
-    cover the fully pinned staircase ``sum_j j * cost_j``.
-    """
-    _require_finite(budget)
-    ordered, rho, cost, sigma = _subset_arrays(stats, model_ids)
-    _require_feasible(stats, ordered)
-    m = len(ordered)
-    rho2 = _rho2_extended(rho)
-    staircase = float(np.dot(np.arange(1, m + 1), cost))
-    if budget < staircase * (1.0 - 1e-12):
-        raise InsufficientBudgetError(
-            f"budget {budget:.6g} s cannot cover even one sample of the "
-            f"high-fidelity model plus the nested staircase of subset {ordered} "
-            f"(needs {staircase:.6g} s)"
-        )
     r = sample_ratios(stats, ordered)
-    counts = budget / float(np.dot(cost, r)) * r
-    pinned = 0
-    while True:
-        bad = [j for j in range(pinned, m - 1) if counts[j] < (j + 1)]
-        if not bad:
-            break
-        j = bad[0] + 1  # 1-based level index to pin through
-        counts[:j] = np.arange(1, j + 1)
-        r_tail = _tail_ratios(rho2, cost, j)
-        remaining = budget - float(np.dot(np.arange(1, j + 1), cost[:j]))
-        lead = remaining / float(np.dot(cost[j:], r_tail))
-        counts[j:] = lead * r_tail
-        pinned = j
-    samples = _floor_counts(counts)
-    predicted = float(np.dot(cost, samples))
+    b_min = float(np.dot(cost, r))
+    counts = budget / b_min * r
+    m = len(ordered)
+    below_minimum = m > 1 and budget < b_min
+    if below_minimum:
+        staircase = float(np.dot(np.arange(1, m + 1), cost))
+        if budget < staircase * (1.0 - 1e-12):
+            raise InsufficientBudgetError(
+                f"budget {budget:.6g} s cannot cover even one sample of the "
+                f"high-fidelity model plus the nested staircase of subset {ordered} "
+                f"(needs {staircase:.6g} s)"
+            )
+        rho2 = _rho2_extended(rho)
+        for j in range(1, m):
+            if counts[j - 1] < j:
+                counts[:j] = np.arange(1, j + 1)
+                r_tail = _tail_ratios(rho2, cost, j)
+                remaining = budget - float(np.dot(np.arange(1, j + 1), cost[:j]))
+                counts[j:] = remaining / float(np.dot(cost[j:], r_tail)) * r_tail
+        ratios = counts / counts[0]
+    elif counts[0] < 1.0 - _FLOOR_NUDGE:
+        raise InsufficientBudgetError(
+            f"budget {budget:.6g} s buys no high-fidelity sample (cost {b_min:.6g} s)"
+        )
+    else:
+        ratios = r
+    floored = np.floor(counts + _FLOOR_NUDGE)
+    if not np.all(floored < 2.0**63):
+        raise ConfigError(
+            f"budget {budget:.6g} s asks for {floored.max():.6g} samples, more than "
+            "an int64 count holds"
+        )
+    samples = floored.astype(np.int64)
     return AllocationPlan(
         model_ids=ordered,
-        alpha=_alphas(rho, sigma),
-        ratios=counts / counts[0],
+        alpha=rho[1:] * sigma[0] / sigma[1:],
+        ratios=ratios,
         samples=samples,
         budget=float(budget),
-        predicted_cost=predicted,
-        below_minimum=True,
+        predicted_cost=float(np.dot(cost, samples)),
+        below_minimum=below_minimum,
     )
 
 

@@ -23,7 +23,6 @@ from phaseuq import (
     SimParams,
     StepState,
     allocate,
-    allocate_below_minimum,
     build_grid,
     build_stencil,
     convolve,
@@ -374,13 +373,13 @@ def test_criterion_8_below_minimum_allocation_traces(table_stats):
             np.dot([1.0, 2.0, 3.0], table_stats.cost[[0, 2, 8]])
         )
         assert staircase == pytest.approx(1.7692, abs=1e-12)
-        boundary = allocate_below_minimum(table_stats, (1, 3, 9), staircase)
+        boundary = allocate(table_stats, (1, 3, 9), staircase)
         np.testing.assert_array_equal(boundary.samples, [1, 2, 3])
 
-        partial = allocate_below_minimum(table_stats, (1, 2, 3, 9), 100.0)
+        partial = allocate(table_stats, (1, 2, 3, 9), 100.0)
         np.testing.assert_array_equal(partial.samples, [1, 3, 15, 1045])
 
-        pair = allocate_below_minimum(table_stats, (1, 9), 6.0)
+        pair = allocate(table_stats, (1, 9), 6.0)
         np.testing.assert_array_equal(pair.samples, [1, 56])
 
         for plan, budget in ((boundary, staircase), (partial, 100.0), (pair, 6.0)):

@@ -29,7 +29,6 @@ from phaseuq import (
     StudyRow,
     ValidationResult,
     allocate,
-    allocate_below_minimum,
     desk_config,
     enumerate_feasible_subsets,
     evaluate_model,
@@ -173,7 +172,7 @@ class TestPlanJson:
         path = tmp_path / "plan.json"
         for plan in (
             allocate(table_stats, (1, 2, 3, 9), 2000.0),
-            allocate_below_minimum(table_stats, (1, 2, 3, 9), 40.0),
+            allocate(table_stats, (1, 2, 3, 9), 40.0),
         ):
             write_json(path, plan)
             back = read_json(path, AllocationPlan)
@@ -265,7 +264,7 @@ class TestArtifactBytes:
     def _json_objects(self, table_stats) -> dict:
         """The dataclass files, by name."""
         full = allocate(table_stats, (1, 9), 40.0)
-        below = allocate_below_minimum(table_stats, (1, 2, 3, 9), 40.0)
+        below = allocate(table_stats, (1, 2, 3, 9), 40.0)
         mc = allocate(table_stats, (1,), 7.5)
         estimate = mfmc_estimate(full, self._values(full))
         rows = tuple(
@@ -548,6 +547,17 @@ class TestConfigJson:
             replace(micro_config, budgets=(1.0, -2.0))
         with pytest.raises(ConfigError):
             replace(micro_config, workers=0)
+
+    def test_master_seed_is_an_integer(self, micro_config):
+        # a numpy integer is held as the equal int, so the JSON form and the
+        # run ids do not change; a bool or a float is not a seed
+        seeded = replace(micro_config, master_seed=np.int64(micro_config.master_seed))
+        assert type(seeded.master_seed) is int
+        assert seeded.to_json() == micro_config.to_json()
+        assert run_id("pilot", seeded) == run_id("pilot", micro_config)
+        for seed in (True, np.bool_(False), 11.0, "11", None):
+            with pytest.raises(ConfigError, match="master_seed must be an int"):
+                replace(micro_config, master_seed=seed)
 
 
 class TestMseStudy:
@@ -898,10 +908,16 @@ class TestCliExitCodes:
         for budgets in ("nan", "5,inf"):
             assert main(study + ["--budgets", budgets]) == 2
             assert "budgets must be positive and finite" in capsys.readouterr().err
-        estimate = ["estimate", "--stats", str(stats), "--subset", "ids:1", "--out", absent]
-        for budget in ("inf", "nan"):
-            assert main(estimate + ["--budget", budget]) == 2
-            assert "budget must be finite" in capsys.readouterr().err
+        # a two-model subset too, which has a below-minimum regime
+        pair = _write(tmp_path / "pair.csv", _GOOD_STATS + "2,,,0.9,0.01,0.25\n")
+        for path, subset in ((stats, "ids:1"), (pair, "ids:1+2")):
+            estimate = ["estimate", "--stats", str(path), "--subset", subset, "--out", absent]
+            for budget in ("inf", "nan", "-inf"):
+                assert main(estimate + [f"--budget={budget}"]) == 2
+                assert "budget must be finite" in capsys.readouterr().err
+            # a count that an int64 cannot hold is refused, naming the budget
+            assert main(estimate + ["--budget", "1e30"]) == 2
+            assert "budget 1e+30 s asks for" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     @pytest.mark.parametrize("flag", ["--config", "--stats", "--validation", "--theta-file"])

@@ -15,7 +15,6 @@ from phaseuq import (
     InsufficientBudgetError,
     ModelStats,
     allocate,
-    allocate_below_minimum,
     empirical_mse,
     enumerate_feasible_subsets,
     estimator_variance,
@@ -299,8 +298,15 @@ class TestAllocate:
         assert plan.predicted_cost <= b_min
 
     def test_below_minimum_rejected(self, table_stats):
-        with pytest.raises(InsufficientBudgetError):
-            allocate(table_stats, (1, 9), 12.0)
+        # below b_min the allocation is the staircase plan; only build_plan
+        # refuses it, and only when asked to
+        candidate = resolve_case(table_stats, "ids:1+9")
+        assert 12.0 < candidate.b_min
+        plan = allocate(table_stats, (1, 9), 12.0)
+        assert plan.below_minimum
+        assert build_plan(table_stats, candidate, 12.0).below_minimum
+        with pytest.raises(InsufficientBudgetError, match="below the minimum budget"):
+            build_plan(table_stats, candidate, 12.0, allow_below_minimum=False)
 
     def test_counts_non_decreasing(self, table_stats):
         for budget in (750.0, 2000.0, 12345.6):
@@ -312,11 +318,20 @@ class TestAllocate:
         plan = allocate(table_stats, (9, 1), 1e4)
         assert plan.model_ids == (1, 9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_enormous_budget_rejected(self, table_stats):
+        # counts are int64: one that does not fit is refused before the cast
+        for ids in ((1,), (1, 2), (1, 2, 3, 9)):
+            with pytest.raises(ConfigError, match=r"budget 1e\+30 s asks for"):
+                allocate(table_stats, ids, 1e30)
+        largest = allocate(table_stats, (1,), table_stats.c1 * 2.0**62)
+        assert largest.samples[0] == 2**62
+
 
 class TestAllocateBelowMinimum:
     def test_staircase_boundary_trace(self, table_stats):
         # budget equal to the pinned staircase cost 1*C1 + 2*C3 + 3*C9
-        plan = allocate_below_minimum(table_stats, (1, 3, 9), 1.7692)
+        plan = allocate(table_stats, (1, 3, 9), 1.7692)
         np.testing.assert_array_equal(plan.samples, [1, 2, 3])
         assert plan.below_minimum
 
@@ -329,7 +344,7 @@ class TestAllocateBelowMinimum:
         ],
     )
     def test_frozen_traces(self, table_stats, ids, budget, expected):
-        plan = allocate_below_minimum(table_stats, ids, budget)
+        plan = allocate(table_stats, ids, budget)
         np.testing.assert_array_equal(plan.samples, expected)
         assert plan.below_minimum
         assert plan.predicted_cost <= budget * (1 + 1e-12)
@@ -338,10 +353,10 @@ class TestAllocateBelowMinimum:
 
     def test_below_staircase_rejected(self, table_stats):
         with pytest.raises(InsufficientBudgetError):
-            allocate_below_minimum(table_stats, (1, 3, 9), 1.0)
+            allocate(table_stats, (1, 3, 9), 1.0)
 
     def test_alpha_unchanged_by_regime(self, table_stats):
-        below = allocate_below_minimum(table_stats, (1, 9), 6.0)
+        below = allocate(table_stats, (1, 9), 6.0)
         above = allocate(table_stats, (1, 9), 1e4)
         np.testing.assert_allclose(below.alpha, above.alpha, rtol=1e-14)
 
@@ -398,8 +413,17 @@ class TestErrorMeasures:
         # plain MC below c1 cannot be rescued by the below-minimum allocation
         with pytest.raises(InsufficientBudgetError, match="buys no high-fidelity sample"):
             allocate(table_stats, (1,), 0.5)
-        with pytest.raises(InsufficientBudgetError, match="below-minimum allocation"):
-            allocate(table_stats, (1, 9), 5.0)
+        # a two-model subset below b_min gets the staircase plan, which only
+        # build_plan refuses
+        assert allocate(table_stats, (1, 9), 5.0).below_minimum
+        candidate = resolve_case(table_stats, "ids:1+9")
+        with pytest.raises(InsufficientBudgetError, match="below the minimum budget"):
+            build_plan(table_stats, candidate, 5.0, allow_below_minimum=False)
+        # a non-finite budget is a ConfigError, whether or not refused below b_min
+        for budget in (np.nan, np.inf, -np.inf):
+            for allow in (True, False):
+                with pytest.raises(ConfigError, match="budget must be finite"):
+                    build_plan(table_stats, candidate, budget, allow_below_minimum=allow)
 
 
 class TestEstimate:
@@ -563,9 +587,27 @@ class TestEstimatorProperties:
         low, high = staircase_cost(stats, subset), minimum_budget(stats, subset)
         assume(low < high)
         budget = low + fraction * (high - low)
-        plan = allocate_below_minimum(stats, subset, budget)
+        assume(budget < high)  # fractions next to 1 can round up to b_min
+        plan = allocate(stats, subset, budget)
         self.check_plan(stats, plan, budget)
         assert plan.below_minimum
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tables_with_subset(), data=hst.data())
+    def test_regime_follows_minimum_budget(self, case, data):
+        # the staircase is taken exactly below the minimum budget
+        stats, subset = case
+        low, b_min = staircase_cost(stats, subset), minimum_budget(stats, subset)
+        budget = data.draw(
+            hst.one_of(
+                hst.just(b_min),
+                hst.floats(low, max(low, b_min)),
+                hst.floats(low, 1e4 * b_min),
+            )
+        )
+        plan = allocate(stats, subset, budget)
+        assert plan.below_minimum == (budget < b_min)
+        self.check_plan(stats, plan, budget)
 
     def test_frozen_table_subsets_beat_monte_carlo(self, table_stats):
         # V <= 1 is not implied by feasibility (rho2^2 = 0.5 and c2/c1 = 0.9
