@@ -36,7 +36,6 @@ __all__ = [
     "kernel_value",
     "build_stencil",
     "convolve",
-    "apply_nonlocal_operator",
 ]
 
 #: Relative slack used when testing ``r <= delta`` so that lattice points
@@ -202,17 +201,6 @@ class ConvolutionStencil:
     c_gamma: float
     xi: float
 
-    @property
-    def offsets(self) -> np.ndarray:
-        """Integer offsets ``(k, 2)`` of the nonzero stencil entries."""
-        nz = np.argwhere(self.patch > 0.0)
-        return nz - self.radius_cells
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Weights matching :attr:`offsets`."""
-        return self.patch[self.patch > 0.0]
-
 
 def build_stencil(grid: Grid, params: KernelParams) -> ConvolutionStencil:
     """Tabulate the convolution stencil of a grid/kernel pair.
@@ -259,16 +247,6 @@ def cached_stencil(
     return build_stencil(grid, params)
 
 
-def _check_field(stencil: ConvolutionStencil, padded: np.ndarray) -> np.ndarray:
-    padded = np.asarray(padded, dtype=float)
-    ns = stencil.grid.n_side
-    if padded.shape != (ns, ns):
-        raise ConfigError(
-            f"field shape {padded.shape} does not match grid ({ns}, {ns})"
-        )
-    return padded
-
-
 def convolve(stencil: ConvolutionStencil, padded: np.ndarray) -> np.ndarray:
     """Discrete convolution of the kernel with a padded field.
 
@@ -285,8 +263,12 @@ def convolve(stencil: ConvolutionStencil, padded: np.ndarray) -> np.ndarray:
         Convolution values on the solution block,
         shape ``(n_solution, n_solution)``.
     """
-    padded = _check_field(stencil, padded)
     grid = stencil.grid
+    padded = np.asarray(padded, dtype=float)
+    if padded.shape != (grid.n_side, grid.n_side):
+        raise ConfigError(
+            f"field shape {padded.shape} does not match grid ({grid.n_side}, {grid.n_side})"
+        )
     # The full linear convolution by the arithmetic of ``scipy.signal.fftconvolve``
     # (so results match it bit for bit); the solution block starts at
     # ``pad + radius`` in it.
@@ -297,13 +279,3 @@ def convolve(stencil: ConvolutionStencil, padded: np.ndarray) -> np.ndarray:
         full[lo : lo + grid.n_solution, lo : lo + grid.n_solution]
     )
 
-
-def apply_nonlocal_operator(stencil: ConvolutionStencil, padded: np.ndarray) -> np.ndarray:
-    """Apply the nonlocal interaction operator ``u -> c_gamma * u - kernel * u``.
-
-    Returns values on the solution block.  The operator annihilates constants
-    up to roundoff and penalizes deviations from the local neighbourhood mean.
-    """
-    padded = _check_field(stencil, padded)
-    sol = stencil.grid.solution_slice
-    return stencil.c_gamma * padded[sol, sol] - convolve(stencil, padded)

@@ -14,14 +14,17 @@ high-fidelity model, cost per sample, output standard deviation), this module
 Subsets are written as tuples of model ids and always include the
 high-fidelity model.  Within a subset, models are indexed ``j = 1..m`` in
 correlation order with ``j = 1`` the high-fidelity model; the squared
-correlation of a virtual ``(m+1)``-th model is 0 by convention.
+correlation of a virtual ``(m+1)``-th model is 0 by convention.  Each call
+orders a subset once and derives its feasibility, optimal sample ratios,
+variance ratio and minimum budget from that one ordering, so scoring every
+subset of a family orders each subset exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -39,7 +42,6 @@ __all__ = [
     "AllocationPlan",
     "EstimationResult",
     "pilot_statistics",
-    "order_models",
     "order_subset",
     "is_feasible",
     "variance_reduction_ratio",
@@ -249,8 +251,7 @@ def pilot_statistics(
         Shape ``(n_models, n_samples)``; all models evaluated at the same
         random inputs.
     seconds:
-        Per-evaluation wall-clock seconds, shape ``(n_models, n_samples)`` or
-        ``(n_models,)`` (already averaged).
+        Per-evaluation wall-clock seconds, shape ``(n_models, n_samples)``.
     hf_id:
         Which id is the high-fidelity model (correlation anchor).
 
@@ -272,14 +273,9 @@ def pilot_statistics(
             f"pilot statistics need at least 2 samples, got {n}"
         )
     seconds = np.asarray(seconds, dtype=float)
-    if seconds.shape == values.shape:
-        cost = seconds.mean(axis=1)
-    elif seconds.shape == (len(ids),):
-        cost = seconds.copy()
-    else:
-        raise ConfigError(
-            f"seconds must have shape {values.shape} or ({len(ids)},), got {seconds.shape}"
-        )
+    if seconds.shape != values.shape:
+        raise ConfigError(f"seconds must have shape {values.shape}, got {seconds.shape}")
+    cost = seconds.mean(axis=1)
     sigma = values.std(axis=1, ddof=1)
     if np.any(sigma == 0.0):
         flat = [ids[k] for k in np.flatnonzero(sigma == 0.0)]
@@ -317,14 +313,9 @@ def _order_key(stats: ModelStats, position: int):
     )
 
 
-def order_models(stats: ModelStats) -> tuple[int, ...]:
-    """All model ids in estimator order: high-fidelity first, then by
-    decreasing squared correlation (ties: cheaper first, then lower id)."""
-    return order_subset(stats, stats.ids)
-
-
 def order_subset(stats: ModelStats, model_ids: Sequence[int]) -> tuple[int, ...]:
-    """A subset of model ids in estimator order.
+    """A subset of model ids in estimator order: high-fidelity first, then by
+    decreasing squared correlation (ties: cheaper first, then lower id).
 
     The subset must contain the high-fidelity model and no duplicates.
     """
@@ -341,62 +332,6 @@ def order_subset(stats: ModelStats, model_ids: Sequence[int]) -> tuple[int, ...]
     return tuple(stats.ids[p] for p in positions)
 
 
-def _subset_arrays(
-    stats: ModelStats, model_ids: Sequence[int]
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    ordered = order_subset(stats, model_ids)
-    positions = [stats.index(i) for i in ordered]
-    rho = stats.rho[positions]
-    cost = stats.cost[positions]
-    sigma = stats.sigma[positions]
-    return ordered, rho, cost, sigma
-
-
-def _rho2_extended(rho: np.ndarray) -> np.ndarray:
-    """Squared correlations with the virtual trailing 0 appended."""
-    return np.concatenate([rho**2, [0.0]])
-
-
-def is_feasible(stats: ModelStats, model_ids: Sequence[int]) -> bool:
-    """Whether the subset satisfies both estimator ordering conditions.
-
-    Condition 1: squared correlations strictly decrease along the subset.
-    Condition 2: each cost ratio exceeds the matching ratio of squared
-    correlation gaps, so the optimal sample counts strictly increase.
-    """
-    _, rho, cost, _ = _subset_arrays(stats, model_ids)
-    rho2 = _rho2_extended(rho)
-    if np.any(np.diff(rho2[:-1]) >= 0.0):
-        return False
-    m = len(cost)
-    for j in range(1, m):
-        gap_prev = rho2[j - 1] - rho2[j]
-        gap_next = rho2[j] - rho2[j + 1]
-        if gap_next <= 0.0:
-            return False
-        if cost[j - 1] / cost[j] <= gap_prev / gap_next:
-            return False
-    return True
-
-
-def _require_feasible(stats: ModelStats, model_ids: Sequence[int]) -> None:
-    if not is_feasible(stats, model_ids):
-        raise InfeasibleSubsetError(
-            f"model subset {tuple(model_ids)} violates the estimator ordering "
-            "conditions"
-        )
-
-
-def variance_reduction_ratio(stats: ModelStats, model_ids: Sequence[int]) -> float:
-    """Estimator variance relative to same-budget Monte Carlo (feasible subsets)."""
-    _require_feasible(stats, model_ids)
-    _, rho, cost, _ = _subset_arrays(stats, model_ids)
-    rho2 = _rho2_extended(rho)
-    c1 = cost[0]
-    root_sum = np.sqrt(cost / c1 * (rho2[:-1] - rho2[1:])).sum()
-    return float(root_sum**2)
-
-
 def _tail_ratios(rho2: np.ndarray, cost: np.ndarray, j: int) -> np.ndarray:
     """Optimal sample ratios of levels ``j..m-1`` (0-based) to level ``j``."""
     tail = np.arange(j, len(cost))
@@ -406,28 +341,79 @@ def _tail_ratios(rho2: np.ndarray, cost: np.ndarray, j: int) -> np.ndarray:
     return r
 
 
+class _Subset(NamedTuple):
+    """A subset's per-level data in estimator order.
+
+    ``rho2`` holds the squared correlations with the virtual trailing 0, and
+    ``r`` the optimal sample ratios, or ``None`` if the subset is infeasible.
+    """
+
+    ids: tuple[int, ...]
+    rho: np.ndarray
+    cost: np.ndarray
+    sigma: np.ndarray
+    rho2: np.ndarray
+    r: np.ndarray | None
+
+    @property
+    def ratios(self) -> np.ndarray:
+        """The optimal sample ratios of a feasible subset."""
+        if self.r is None:
+            raise InfeasibleSubsetError(
+                f"model subset {self.ids} violates the estimator ordering conditions"
+            )
+        return self.r
+
+
+def _derive(stats: ModelStats, model_ids: Sequence[int]) -> _Subset:
+    """Order a subset once and derive its per-level arrays and, if it is
+    feasible (:func:`is_feasible`), its optimal sample ratios."""
+    ordered = order_subset(stats, model_ids)
+    positions = [stats.index(i) for i in ordered]
+    rho, cost = stats.rho[positions], stats.cost[positions]
+    rho2 = np.concatenate([rho**2, [0.0]])
+    gaps = rho2[:-1] - rho2[1:]
+    # condition 1, then condition 2 (whose divisions need condition 1)
+    feasible = np.all(gaps > 0.0) and np.all(cost[:-1] / cost[1:] > gaps[:-1] / gaps[1:])
+    r = _tail_ratios(rho2, cost, 0) if feasible else None
+    return _Subset(ordered, rho, cost, stats.sigma[positions], rho2, r)
+
+
+def _candidate(subset: _Subset) -> SubsetCandidate:
+    """A feasible subset with its figures of merit (raises if infeasible)."""
+    r = subset.ratios
+    cost, rho2 = subset.cost, subset.rho2
+    root_sum = np.sqrt(cost / cost[0] * (rho2[:-1] - rho2[1:])).sum()
+    return SubsetCandidate(
+        model_ids=subset.ids, v_ratio=float(root_sum**2), b_min=float(np.dot(cost, r))
+    )
+
+
+def is_feasible(stats: ModelStats, model_ids: Sequence[int]) -> bool:
+    """Whether the subset satisfies both estimator ordering conditions.
+
+    Condition 1: squared correlations strictly decrease along the subset, down
+    to the virtual trailing 0.  Condition 2: each cost ratio exceeds the
+    matching ratio of squared correlation gaps, so the optimal sample counts
+    strictly increase.
+    """
+    return _derive(stats, model_ids).r is not None
+
+
+def variance_reduction_ratio(stats: ModelStats, model_ids: Sequence[int]) -> float:
+    """Estimator variance relative to same-budget Monte Carlo (feasible subsets)."""
+    return _candidate(_derive(stats, model_ids)).v_ratio
+
+
 def sample_ratios(stats: ModelStats, model_ids: Sequence[int]) -> np.ndarray:
     """Optimal per-model sample ratios ``r_j = m_j / m_1`` (feasible subsets)."""
-    _require_feasible(stats, model_ids)
-    _, rho, cost, _ = _subset_arrays(stats, model_ids)
-    return _tail_ratios(_rho2_extended(rho), cost, 0)
+    return _derive(stats, model_ids).ratios
 
 
 def minimum_budget(stats: ModelStats, model_ids: Sequence[int]) -> float:
     """Smallest budget (seconds) with >= 1 high-fidelity sample under the
     optimal allocation; equals ``c1 * sqrt(V / (1 - rho_2^2))``."""
-    _, _, cost, _ = _subset_arrays(stats, model_ids)
-    r = sample_ratios(stats, model_ids)
-    return float(np.dot(cost, r))
-
-
-def _candidate(stats: ModelStats, model_ids: Sequence[int]) -> SubsetCandidate:
-    """A feasible subset with its figures of merit (raises if infeasible)."""
-    return SubsetCandidate(
-        model_ids=order_subset(stats, model_ids),
-        v_ratio=variance_reduction_ratio(stats, model_ids),
-        b_min=minimum_budget(stats, model_ids),
-    )
+    return _candidate(_derive(stats, model_ids)).b_min
 
 
 def enumerate_feasible_subsets(stats: ModelStats) -> list[SubsetCandidate]:
@@ -441,10 +427,9 @@ def enumerate_feasible_subsets(stats: ModelStats) -> list[SubsetCandidate]:
     found: list[SubsetCandidate] = []
     for size in range(1, len(surrogates) + 1):
         for combo in combinations(surrogates, size):
-            ids = (stats.hf_id, *combo)
-            if not is_feasible(stats, ids):
-                continue
-            found.append(_candidate(stats, ids))
+            subset = _derive(stats, (stats.hf_id, *combo))
+            if subset.r is not None:
+                found.append(_candidate(subset))
     found.sort(key=lambda c: (c.v_ratio, c.b_min, c.model_ids))
     return found
 
@@ -462,7 +447,7 @@ def resolve_case(stats: ModelStats, case: str) -> SubsetCandidate:
             ids = tuple(int(tok) for tok in case[4:].split("+"))
         except ValueError:
             raise ConfigError(f"cannot parse subset selector {case!r}") from None
-        return _candidate(stats, ids)
+        return _candidate(_derive(stats, ids))
     candidates = enumerate_feasible_subsets(stats)
     if not candidates:
         raise InfeasibleSubsetError("no feasible model subset exists")
@@ -507,9 +492,9 @@ def allocate(stats: ModelStats, model_ids: Sequence[int], budget: float) -> Allo
     """
     if not np.isfinite(budget):
         raise ConfigError(f"budget must be finite, got {budget}")
-    ordered, rho, cost, sigma = _subset_arrays(stats, model_ids)
-    r = sample_ratios(stats, ordered)
-    b_min = float(np.dot(cost, r))
+    subset = _derive(stats, model_ids)
+    ordered, rho, cost, sigma, rho2, _ = subset
+    r, b_min = subset.ratios, _candidate(subset).b_min
     counts = budget / b_min * r
     m = len(ordered)
     below_minimum = m > 1 and budget < b_min
@@ -521,7 +506,6 @@ def allocate(stats: ModelStats, model_ids: Sequence[int], budget: float) -> Allo
                 f"high-fidelity model plus the nested staircase of subset {ordered} "
                 f"(needs {staircase:.6g} s)"
             )
-        rho2 = _rho2_extended(rho)
         for j in range(1, m):
             if counts[j - 1] < j:
                 counts[:j] = np.arange(1, j + 1)
@@ -555,7 +539,8 @@ def allocate(stats: ModelStats, model_ids: Sequence[int], budget: float) -> Allo
 
 def estimator_variance(stats: ModelStats, plan: AllocationPlan) -> float:
     """Exact variance of the estimator under the given integer allocation."""
-    _, rho, cost, sigma = _subset_arrays(stats, plan.model_ids)
+    subset = _derive(stats, plan.model_ids)
+    rho, sigma = subset.rho, subset.sigma
     m = plan.samples.astype(float)
     var = sigma[0] ** 2 / m[0]
     for j in range(1, len(m)):

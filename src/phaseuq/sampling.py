@@ -33,6 +33,13 @@ VALIDATION_TAG = "validation"
 REPLICATE_TAG_FORMAT = "estimate:{:d}"
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int; a bool or a non-integral number is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def _stream_key(master_seed: int, tag: str, index: int) -> int:
     digest = hashlib.sha256(f"{master_seed}:{tag}:{index}".encode()).digest()
     return int.from_bytes(digest[:16], "little")
@@ -46,16 +53,13 @@ class SampleStream:
     tag: str
 
     def __post_init__(self) -> None:
-        if isinstance(self.master_seed, bool) or not isinstance(
-            self.master_seed, (int, np.integer)
-        ):
-            raise ConfigError(f"master_seed must be an int, got {self.master_seed!r}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", _as_int(self.master_seed, "master_seed"))
         if not self.tag:
             raise ConfigError("stream tag must be non-empty")
 
     def theta(self, index: int) -> RandomInputs:
         """The random input at a given stream index (independent of batching)."""
+        index = _as_int(index, "stream index")
         if index < 0:
             raise ConfigError(f"stream index must be >= 0, got {index}")
         key = _stream_key(self.master_seed, self.tag, index)
@@ -64,12 +68,6 @@ class SampleStream:
         mu = DEPTH_RANGE[0] + (DEPTH_RANGE[1] - DEPTH_RANGE[0]) * draws[:, 0]
         eta = SHIFT_RANGE[0] + (SHIFT_RANGE[1] - SHIFT_RANGE[0]) * draws[:, 1:]
         return RandomInputs(mu=mu, eta=eta)
-
-    def batch(self, count: int) -> list[RandomInputs]:
-        """The first ``count`` inputs of the stream."""
-        if count < 0:
-            raise ConfigError(f"batch count must be >= 0, got {count}")
-        return [self.theta(i) for i in range(count)]
 
 
 def pilot_stream(master_seed: int) -> SampleStream:

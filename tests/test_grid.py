@@ -17,7 +17,6 @@ from phaseuq import (
     ConfigError,
     DegenerateStencilError,
     KernelParams,
-    apply_nonlocal_operator,
     build_grid,
     build_stencil,
     convolve,
@@ -137,7 +136,6 @@ class TestStencil:
         st = build_stencil(grid, DEFAULTS)
         assert st.radius_cells == 4
         assert np.count_nonzero(st.patch) == 49
-        assert len(st.offsets) == 49
 
     def test_boundary_lattice_point_included(self):
         # offset (4, 0) at h = 1/16 lies exactly on the truncation circle
@@ -254,20 +252,3 @@ class TestConvolution:
         st = build_stencil(grid, DEFAULTS)
         with pytest.raises(ConfigError):
             convolve(st, np.zeros((5, 5)))
-
-    def test_nonlocal_operator_annihilates_constants(self):
-        grid = build_grid(10, 0.25)
-        st = build_stencil(grid, DEFAULTS)
-        out = apply_nonlocal_operator(st, np.full((grid.n_side, grid.n_side), 0.7))
-        np.testing.assert_allclose(out, 0.0, atol=1e-14)
-
-    def test_nonlocal_operator_definition(self):
-        rng = np.random.default_rng(5)
-        grid = build_grid(8, 0.25)
-        st = build_stencil(grid, DEFAULTS)
-        padded = rng.uniform(-1.0, 1.0, (grid.n_side, grid.n_side))
-        sol = grid.solution_slice
-        expected = st.c_gamma * padded[sol, sol] - convolve(st, padded)
-        np.testing.assert_allclose(
-            apply_nonlocal_operator(st, padded), expected, rtol=1e-14
-        )

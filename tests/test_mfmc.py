@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from phaseuq import mfmc
 from phaseuq import (
     AllocationPlan,
     ConfigError,
@@ -22,7 +25,6 @@ from phaseuq import (
     mc_estimate,
     mfmc_estimate,
     minimum_budget,
-    order_models,
     order_subset,
     pilot_statistics,
     resolve_case,
@@ -102,7 +104,7 @@ class TestPilotStatistics:
 
     def test_frozen_statistics(self):
         stats = pilot_statistics(
-            (1, 2, 3), self.VALUES, np.array([2.0, 1.0, 0.5])
+            (1, 2, 3), self.VALUES, np.repeat([[2.0], [1.0], [0.5]], 4, axis=1)
         )
         # sample standard deviations with one delta degree of freedom:
         # variances 5/48, 131/1200, 5/108
@@ -118,9 +120,12 @@ class TestPilotStatistics:
         seconds = np.array([[1.0, 3.0, 2.0, 2.0], [1.0, 1.0, 1.0, 1.0], [0.5, 0.25, 0.5, 0.75]])
         stats = pilot_statistics((1, 2, 3), self.VALUES, seconds)
         np.testing.assert_allclose(stats.cost, [2.0, 1.0, 0.5])
+        for shape in ((3,), (3, 3), (4, 4)):
+            with pytest.raises(ConfigError, match="seconds must have shape"):
+                pilot_statistics((1, 2, 3), self.VALUES, np.ones(shape))
 
     def test_hf_anchor_selectable(self):
-        stats = pilot_statistics((4, 1, 6), self.VALUES, np.ones(3), hf_id=4)
+        stats = pilot_statistics((4, 1, 6), self.VALUES, np.ones((3, 4)), hf_id=4)
         assert stats.hf_id == 4
         assert stats.rho[0] == 1.0
 
@@ -128,22 +133,22 @@ class TestPilotStatistics:
         values = self.VALUES.copy()
         values[1] = 0.7
         with pytest.raises(DegenerateStatisticsError):
-            pilot_statistics((1, 2, 3), values, np.ones(3))
+            pilot_statistics((1, 2, 3), values, np.ones((3, 4)))
 
     def test_perfectly_correlated_surrogate_rejected(self):
         values = self.VALUES.copy()
         values[2] = 2.0 * values[0] + 1.0
         with pytest.raises(DegenerateStatisticsError):
-            pilot_statistics((1, 2, 3), values, np.ones(3))
+            pilot_statistics((1, 2, 3), values, np.ones((3, 4)))
 
     def test_single_sample_rejected(self):
         with pytest.raises(DegenerateStatisticsError):
-            pilot_statistics((1, 2), np.array([[1.0], [2.0]]), np.ones(2))
+            pilot_statistics((1, 2), np.array([[1.0], [2.0]]), np.ones((2, 1)))
 
 
 class TestOrdering:
     def test_table_order(self, table_stats):
-        assert order_models(table_stats) == tuple(range(1, 10))
+        assert order_subset(table_stats, table_stats.ids) == tuple(range(1, 10))
 
     def test_shuffle_invariance(self, table_stats):
         rng = np.random.default_rng(0)
@@ -154,13 +159,14 @@ class TestOrdering:
             cost=table_stats.cost[perm],
             sigma=table_stats.sigma[perm],
         )
-        assert order_models(shuffled) == order_models(table_stats)
+        expected = order_subset(table_stats, table_stats.ids)
+        assert order_subset(shuffled, shuffled.ids) == expected
 
     def test_ties_broken_by_cost_then_id(self):
         stats = make_stats(
             [1.0, 0.9, 0.9, 0.9], [1.0, 0.3, 0.2, 0.3], [1, 1, 1, 1], ids=(1, 5, 3, 2)
         )
-        assert order_models(stats) == (1, 3, 2, 5)
+        assert order_subset(stats, stats.ids) == (1, 3, 2, 5)
 
     def test_order_subset(self, table_stats):
         assert order_subset(table_stats, (9, 1, 3)) == (1, 3, 9)
@@ -186,6 +192,11 @@ class TestFeasibility:
         # surrogate 3 barely less correlated but only marginally cheaper
         stats = make_stats([1.0, 0.98, 0.9799], [1.0, 0.5, 0.4999], [1, 1, 1])
         assert not is_feasible(stats, (1, 2, 3))
+        # a cost ratio equal to its gap ratio (0.4375 / 0.3125, both exact)
+        # gives two equal optimal counts
+        tie = make_stats([1.0, 0.75, 0.5], [0.4375, 0.3125, 0.1], [1, 1, 1])
+        assert not is_feasible(tie, (1, 2, 3))
+        assert is_feasible(tie, (1, 2)) and is_feasible(tie, (1, 3))
 
     def test_feasibility_iff_ratios_increase(self):
         rng = np.random.default_rng(99)
@@ -203,6 +214,18 @@ class TestFeasibility:
 
     def test_feasible_count_of_table(self, table_stats):
         assert len(enumerate_feasible_subsets(table_stats)) == 131
+
+    def test_enumeration_orders_each_subset_once(self, table_stats, monkeypatch):
+        calls = []
+        order = mfmc.order_subset
+
+        def counted(stats, model_ids):
+            calls.append(tuple(model_ids))
+            return order(stats, model_ids)
+
+        monkeypatch.setattr(mfmc, "order_subset", counted)
+        enumerate_feasible_subsets(table_stats)
+        assert len(calls) == 2**8 - 1 == len(set(calls))
 
 
 class TestFiguresOfMerit:
@@ -548,6 +571,20 @@ def tables_with_subset(draw):
     return stats, draw(hst.sampled_from(candidates)).model_ids
 
 
+def loop_feasible(stats, model_ids):
+    """Reference test of both ordering conditions, one level at a time."""
+    ordered = order_subset(stats, model_ids)
+    rho2 = [float(stats.rho[stats.index(i)]) ** 2 for i in ordered] + [0.0]
+    cost = [float(stats.cost[stats.index(i)]) for i in ordered]
+    for j in range(1, len(cost)):
+        gap_prev, gap_next = rho2[j - 1] - rho2[j], rho2[j] - rho2[j + 1]
+        if gap_prev <= 0.0 or gap_next <= 0.0:
+            return False
+        if cost[j - 1] / cost[j] <= gap_prev / gap_next:
+            return False
+    return True
+
+
 def staircase_cost(stats, model_ids):
     """Cost of the fully pinned below-minimum counts ``1, 2, ..., m``."""
     cost = stats.cost[[stats.index(i) for i in model_ids]]
@@ -608,6 +645,26 @@ class TestEstimatorProperties:
         plan = allocate(stats, subset, budget)
         assert plan.below_minimum == (budget < b_min)
         self.check_plan(stats, plan, budget)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stats=stats_tables())
+    def test_enumeration_is_the_feasible_subsets(self, stats):
+        # exactly the feasible subsets of two or more models, each scored bit
+        # for bit as the one-subset functions score it
+        surrogates = [i for i in stats.ids if i != stats.hf_id]
+        subsets = [
+            (stats.hf_id, *combo)
+            for size in range(1, len(surrogates) + 1)
+            for combo in combinations(surrogates, size)
+        ]
+        for s in subsets:
+            assert is_feasible(stats, s) == loop_feasible(stats, s)
+        feasible = [order_subset(stats, s) for s in subsets if is_feasible(stats, s)]
+        candidates = enumerate_feasible_subsets(stats)
+        assert sorted(c.model_ids for c in candidates) == sorted(feasible)
+        for c in candidates:
+            assert c.v_ratio == variance_reduction_ratio(stats, c.model_ids)
+            assert c.b_min == minimum_budget(stats, c.model_ids)
 
     def test_frozen_table_subsets_beat_monte_carlo(self, table_stats):
         # V <= 1 is not implied by feasibility (rho2^2 = 0.5 and c2/c1 = 0.9

@@ -44,11 +44,16 @@ class TestDeterminism:
             with pytest.raises(ConfigError, match="master_seed must be an int"):
                 SampleStream(seed, "pilot")
 
-    def test_batch_matches_individual(self):
-        stream = validation_stream(123)
-        batch = stream.batch(5)
-        assert len(batch) == 5
-        np.testing.assert_array_equal(batch[3].to_flat(), stream.theta(3).to_flat())
+    def test_stream_index_is_an_integer(self):
+        # A numpy integer index is the draw of the equal Python int; a bool or
+        # a float is not an index.
+        stream = pilot_stream(1)
+        np.testing.assert_array_equal(
+            stream.theta(np.int64(3)).to_flat(), stream.theta(3).to_flat()
+        )
+        for index in (True, np.bool_(False), 3.0, np.float64(1.0), "3"):
+            with pytest.raises(ConfigError, match="stream index must be an int"):
+                stream.theta(index)
 
 
 class TestStreamSeparation:
@@ -75,7 +80,7 @@ class TestStreamSeparation:
 class TestSupport:
     def test_draws_inside_parameter_box(self):
         stream = pilot_stream(42)
-        for theta in stream.batch(200):
+        for theta in [stream.theta(i) for i in range(200)]:
             assert np.all(theta.mu >= DEPTH_RANGE[0]) and np.all(theta.mu <= DEPTH_RANGE[1])
             assert np.all(theta.eta >= SHIFT_RANGE[0]) and np.all(theta.eta <= SHIFT_RANGE[1])
             assert theta.mu.shape == (4,)
@@ -83,7 +88,7 @@ class TestSupport:
 
     def test_marginals_roughly_uniform(self):
         stream = validation_stream(7)
-        mus = np.stack([t.mu for t in stream.batch(2000)])
+        mus = np.stack([stream.theta(i).mu for i in range(2000)])
         # mean of U(0.9, 1.0) is 0.95; standard error with 8000 draws ~ 3e-4
         assert abs(mus.mean() - 0.95) < 2e-3
         assert abs(mus.min() - 0.9) < 1e-3
