@@ -192,6 +192,14 @@ class ConvolutionStencil:
         convolution on the constant field 1.
     xi:
         Spectral shift ``c_gamma - c_f`` of the linearized operator.
+    fft_shape:
+        Transform shape of the zero-padded linear convolution of a padded
+        field with ``patch``.
+    spectrum:
+        ``rfftn(patch, fft_shape)``, the kernel's half spectrum.
+
+    ``patch`` and ``spectrum`` are read-only: :func:`cached_stencil` shares
+    them between callers.
     """
 
     grid: Grid
@@ -200,6 +208,8 @@ class ConvolutionStencil:
     patch: np.ndarray
     c_gamma: float
     xi: float
+    fft_shape: tuple[int, int]
+    spectrum: np.ndarray
 
 
 def build_stencil(grid: Grid, params: KernelParams) -> ConvolutionStencil:
@@ -227,6 +237,11 @@ def build_stencil(grid: Grid, params: KernelParams) -> ConvolutionStencil:
     dist = np.hypot(span[:, None], span[None, :]) * h
     patch = kernel_value(dist, params) * h**2
     c_gamma = float(patch.sum())
+    # The shape that ``scipy.signal.fftconvolve`` picks for a padded field.
+    fft_shape = tuple(next_fast_len(grid.n_side + n - 1, True) for n in patch.shape)
+    spectrum = rfftn(patch, fft_shape)
+    patch.setflags(write=False)
+    spectrum.setflags(write=False)
     return ConvolutionStencil(
         grid=grid,
         params=params,
@@ -234,6 +249,8 @@ def build_stencil(grid: Grid, params: KernelParams) -> ConvolutionStencil:
         patch=patch,
         c_gamma=c_gamma,
         xi=c_gamma - params.c_f,
+        fft_shape=fft_shape,
+        spectrum=spectrum,
     )
 
 
@@ -272,8 +289,8 @@ def convolve(stencil: ConvolutionStencil, padded: np.ndarray) -> np.ndarray:
     # The full linear convolution by the arithmetic of ``scipy.signal.fftconvolve``
     # (so results match it bit for bit); the solution block starts at
     # ``pad + radius`` in it.
-    fshape = [next_fast_len(n, True) for n in np.add(padded.shape, stencil.patch.shape) - 1]
-    full = irfftn(rfftn(padded, fshape) * rfftn(stencil.patch, fshape), fshape)
+    fshape = stencil.fft_shape
+    full = irfftn(rfftn(padded, fshape) * stencil.spectrum, fshape)
     lo = grid.pad + stencil.radius_cells
     return np.ascontiguousarray(
         full[lo : lo + grid.n_solution, lo : lo + grid.n_solution]

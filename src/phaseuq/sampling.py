@@ -77,6 +77,7 @@ def pilot_stream(master_seed: int) -> SampleStream:
 
 def replicate_stream(master_seed: int, replicate: int) -> SampleStream:
     """Independent stream for one estimator replicate."""
+    replicate = _as_int(replicate, "replicate index")
     if replicate < 0:
         raise ConfigError(f"replicate index must be >= 0, got {replicate}")
     return SampleStream(master_seed, REPLICATE_TAG_FORMAT.format(replicate))

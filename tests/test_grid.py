@@ -22,7 +22,10 @@ from phaseuq import (
     convolve,
     desk_config,
     kernel_value,
+    reference_config,
 )
+from phaseuq.grid import cached_stencil
+from phaseuq.solver import model_stencil
 
 DEFAULTS = KernelParams(eps2=0.00178, delta_hf=0.25, delta=0.25, c_f=1.0)
 
@@ -219,6 +222,28 @@ class TestConvolution:
                 padded = rng.uniform(-1.0, 1.0, (st.grid.n_side, st.grid.n_side))
                 full = signal.convolve(padded, st.patch, mode="valid")
                 np.testing.assert_array_equal(convolve(st, padded), full[lo : lo + n, lo : lo + n])
+
+    @pytest.mark.parametrize("config, model_id", [(desk_config(), 9), (reference_config(), 1)],
+                             ids=["desk-n16", "reference-n128"])
+    def test_matches_fftconvolve_bit_for_bit(self, config, model_id):
+        # The stored kernel spectrum leaves the arithmetic of a full
+        # ``fftconvolve`` unchanged.
+        from scipy import signal
+
+        model = config.model(model_id)
+        st = model_stencil(model, config.kernel_for(model))
+        lo, n = st.grid.pad + st.radius_cells, st.grid.n_solution
+        padded = np.random.default_rng(model_id).uniform(-1.0, 1.0, (st.grid.n_side,) * 2)
+        full = signal.fftconvolve(padded, st.patch)
+        np.testing.assert_array_equal(convolve(st, padded), full[lo : lo + n, lo : lo + n])
+
+    def test_stencil_arrays_are_read_only(self):
+        # Cached stencils are shared, and a changed patch would no longer
+        # match its stored spectrum.
+        st = cached_stencil(16, 0.00178, 0.25, 0.25, 1.0)
+        for array in (st.patch, st.spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
 
     def test_import_leaves_scipy_signal_out(self):
         check = "import sys, phaseuq, phaseuq.cli; sys.exit('scipy.signal' in sys.modules)"

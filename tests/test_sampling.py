@@ -55,6 +55,17 @@ class TestDeterminism:
             with pytest.raises(ConfigError, match="stream index must be an int"):
                 stream.theta(index)
 
+    def test_replicate_index_is_an_integer(self):
+        # A numpy integer replicate is the stream of the equal Python int; a
+        # bool is not replicate 1 and a float does not reach the tag format.
+        assert replicate_stream(1, np.int64(2)) == replicate_stream(1, 2)
+        assert replicate_stream(1, 2).tag == "estimate:2"
+        for replicate in (True, np.bool_(False), 2.0, np.float64(1.0), "2"):
+            with pytest.raises(ConfigError, match="replicate index must be an int"):
+                replicate_stream(1, replicate)
+        with pytest.raises(ConfigError, match="replicate index must be >= 0"):
+            replicate_stream(1, -1)
+
 
 class TestStreamSeparation:
     def test_streams_pairwise_distinct(self):

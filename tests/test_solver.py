@@ -486,6 +486,66 @@ class TestFactorizationReuse:
             assert a.sweeps == b.sweeps and a.residual == b.residual
 
 
+class CountedFactor:
+    """Forwards ``solve`` to a factorization and counts the calls in
+    ``counts``; the first solve of all is off by ``counts["miss"]`` in one
+    entry."""
+
+    def __init__(self, factor, counts):
+        self.factor, self.counts = factor, counts
+
+    def solve(self, rhs):
+        x = self.factor.solve(rhs)
+        if self.counts["solves"] == 0:
+            x[x.size // 2] += self.counts["miss"]
+        self.counts["solves"] += 1
+        return x
+
+
+class TestSolveCount:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts, factorize = {"solves": 0, "miss": 0.0}, solver._factorize
+        monkeypatch.setattr(solver, "_factorize",
+                            lambda *args: CountedFactor(factorize(*args), counts))
+        solver._sweep_factorization.cache_clear()
+        yield counts
+        solver._sweep_factorization.cache_clear()
+
+    def test_one_solve_per_sweep(self, counts):
+        config, sweeps = desk_config(), []
+        for model in config.models:
+            st = config_stencil(config, model)
+            run_simulation(st.grid, st, ASYM_THETA, config.sim,
+                           on_step=lambda state: sweeps.append(state.sweeps))
+        assert sum(sweeps) > len(sweeps)
+        assert counts["solves"] == sum(sweeps)
+
+    @pytest.mark.parametrize("model_id", [8, 9], ids=["cholesky", "lu"])
+    def test_missed_residual_takes_one_refinement(self, counts, model_id):
+        st, sim, _ = model_operators(model_id)
+        counts["miss"] = 1e-6
+        prev = initial_state(st.grid, ASYM_THETA, sim)
+        state = time_step(prev, st, sim)
+        assert counts["solves"] == state.sweeps + 1
+        assert state.residual <= sim.solver_tol
+
+        u, u_prev, lam = state.solution.ravel(), prev.solution.ravel(), state.multiplier
+        pos, neg = state.active_pos, state.active_neg
+        free = ~(pos | neg)
+        assert np.all(u[pos] == 1.0) and np.all(u[neg] == -1.0)
+        assert np.abs(u).max() <= 1.0 + 1e-10
+        assert np.all(lam[pos] >= 0.0) and np.all(lam[neg] <= 0.0)
+        assert np.all(lam[free] == 0.0)
+        a_mat, b_mat = dense_operators(st.grid.n_solution, st.grid.h, sim.beta1, sim.beta2,
+                                       sim.dt, st.xi)
+        g = convolve(st, prev.padded).ravel()
+        residual = a_mat @ u + b_mat @ lam - u_prev / sim.dt - b_mat @ g
+        assert np.abs(residual).max() <= sim.solver_tol
+        collar = ~st.grid.solution_mask()
+        np.testing.assert_array_equal(state.padded[collar], prev.padded[collar])
+
+
 OPERATOR_DETAILS = {
     "desk": model_operators(9),
     "desk-n32": model_operators(1),
