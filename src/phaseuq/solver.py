@@ -17,25 +17,33 @@ system exchanging unknowns ``u`` (free nodes) and ``lam`` (active nodes), and
 updates the guess from the multiplier sign test until the sets are stable.
 
 The matrix ``M`` of one sweep takes the columns of ``A`` at free nodes and
-those of ``B`` at active ones.  ``B`` is symmetric, and in the natural
-row-major order its only nonzero diagonals are 0, +-1 and +-``n_solution``,
-so ``M`` is built from those diagonals of ``B`` alone; ``A`` is never
-assembled.  With ``P_F = diag(1 on free nodes, 0 on active nodes)``,
+those of ``B`` at active ones; ``A`` is never assembled.  With
+``P_F = diag(1 on free nodes, 0 on active nodes)``,
 
 .. code-block:: text
 
     M   = P_F / dt + B E,     E = diag(xi on free nodes, 1 on active nodes),
     M D = P_F / dt + xi B,    D = diag(1 on free nodes, xi on active nodes).
 
-``M D`` is symmetric, and positive definite when ``xi > 0`` and ``beta1 > 0``.
-On every grid those models get LAPACK's band Cholesky of ``M D`` (``dpbtrf``,
-a band of ``n_solution + 1`` rows), whose solve returns ``D y``; the others
-get band LU of ``M`` (``dgbtrf``, ``3 n_solution + 1`` rows).  In the built-in
-families only reference models 5 and 6 take band LU above ``n_interior = 64``,
-and :func:`check_well_posed` rejects both at their ``dt``.  At a smaller
-``dt``, band LU would be about 1.4 times slower than sparse LU at
-``n_interior = 128`` (76 against 54 ms per factorization on a 2-core machine)
-and hold a 52 MB band (408 MB at ``n_interior = 256``).
+``B`` is a 5-point operator, so on the checkerboard colouring (red nodes
+``i + j`` even, black ``i + j`` odd) each colour couples only to the other,
+and ``M``'s red-red block is diagonal.  Every sweep eliminates the red nodes
+exactly and factors only the black Schur complement
+``S = M_K - C_KR diag(E_R / M_R) C_RK E_K``, where ``C`` is ``B``'s fixed
+red-black coupling: ``n_solution**2 // 2`` unknowns with the bandwidth
+``n_solution`` of ``M`` itself, so the band, the factorization flops and the
+band solves are halved.  A per-grid plan, cached with ``B``, maps the
+reciprocal red diagonal to the slots of the black band.  ``S D_K`` is the
+Schur complement of ``M D``, so it is symmetric, and positive definite when
+``xi > 0`` and ``beta1 > 0``: on every grid those models get LAPACK's band
+Cholesky of ``S D_K`` (``dpbtrf``, a band of ``n_solution + 1`` rows), the
+others band LU of ``S`` (``dgbtrf``, ``3 n_solution + 1`` rows).  In the
+built-in families only reference models 5 and 6 take band LU above
+``n_interior = 64``, and :func:`check_well_posed` rejects both at their
+``dt``.  At a smaller ``dt``, band LU of ``S`` at ``n_interior = 128`` takes
+about twice as long per factorization as band Cholesky (31 against 15 ms on
+a loaded 2-core machine, where band LU of the whole ``M`` took 62 ms) and
+holds a 26 MB band (204 MB at ``n_interior = 256``).
 
 Each residual of a step is one product by ``B``:
 ``r(u, lam) = rhs0 - u / dt - B (xi u + lam) = rhs0 - A u - B lam``.  A sweep
@@ -368,13 +376,96 @@ def check_well_posed(
         )
 
 
+class _RedBlackPlan(NamedTuple):
+    """The checkerboard split of the solution block that every sweep matrix
+    of one ``B`` shares.
+
+    Red nodes have ``i + j`` even, black nodes ``i + j`` odd; ``order`` lists
+    the red nodes and then the black ones, each in the natural order, and
+    ``position`` is its inverse permutation.  ``c_kr`` is ``B``'s black-red
+    block and ``c_rk`` its transpose.  ``t_map`` takes a vector ``v`` over the
+    red nodes to the entries of the lower triangle of
+    ``T(v) = c_kr diag(v) c_rk``, the diagonal first, and ``kd`` is the
+    bandwidth of ``T``.  ``cholesky_slots`` are the flat positions of those
+    entries in a Fortran-ordered ``(kd + 1, n_black)`` band of the lower
+    triangle; in a ``(3 kd + 1, n_black)`` general band, ``lu_slots`` are
+    those of the entries ``lu_terms`` of ``t_map``'s output and of their
+    mirror images above the diagonal, whose columns are ``lu_columns``.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    n_red: int
+    c_kr: sp.csr_matrix
+    c_rk: sp.csr_matrix
+    t_map: sp.csr_matrix
+    kd: int
+    cholesky_slots: np.ndarray
+    lu_slots: np.ndarray
+    lu_terms: np.ndarray
+    lu_columns: np.ndarray
+
+
+def _red_black_plan(n_solution: int, lower1: np.ndarray, lower_k: np.ndarray) -> _RedBlackPlan:
+    """The :class:`_RedBlackPlan` of the ``B`` whose first and ``n_solution``-th
+    subdiagonals are ``lower1`` and ``lower_k``.
+
+    A node's position within its colour is ``p // 2`` for either parity of
+    ``n_solution``, so ``T`` has bandwidth ``n_solution`` (from ``i +- 2``).
+    """
+    n, size = n_solution, n_solution**2
+    i, j = np.divmod(np.arange(size), n)
+    red = np.flatnonzero((i + j) % 2 == 0)
+    order = np.concatenate([red, np.flatnonzero((i + j) % 2 == 1)])
+    n_red, n_black = red.size, size - red.size
+    # The four neighbours of each red node, in increasing order, and B's couplings to them.
+    ri, rj = i[red], j[red]
+    neighbours = red[:, None] + np.array([-n, -1, 1, n])
+    exists = np.stack([ri > 0, rj > 0, rj < n - 1, ri < n - 1], axis=1)
+    l1, lk = np.append(lower1, 0.0), np.append(lower_k, np.zeros(n))
+    weights = np.stack([lk[red - n], l1[red - 1], l1[red], lk[red]], axis=1) * exists
+    counts = np.concatenate([[0], np.cumsum(exists.sum(axis=1))])
+    c_rk = sp.csr_matrix(
+        (weights[exists], neighbours[exists] // 2, counts), shape=(n_red, n_black)
+    )
+    # Red node r adds c_ar c_br v_r to T[a, b] for each pair of its black
+    # neighbours a >= b; the entry T[a, b] is keyed by (a - b, b).
+    pairs = [(s, t) for s in range(4) for t in range(s + 1)]
+    both = [exists[:, s] & exists[:, t] for s, t in pairs]
+    a = np.concatenate([neighbours[m, s] // 2 for m, (s, _) in zip(both, pairs)])
+    b = np.concatenate([neighbours[m, t] // 2 for m, (_, t) in zip(both, pairs)])
+    w = np.concatenate([weights[m, s] * weights[m, t] for m, (s, t) in zip(both, pairs)])
+    r = np.concatenate([np.flatnonzero(m) for m in both])
+    keys, entry = np.unique((a - b) * n_black + b, return_inverse=True)
+    offsets, cols = np.divmod(keys, n_black)
+    rows, kd = cols + offsets, int(offsets.max(initial=0))
+    mirrored = np.flatnonzero(offsets > 0)
+    lu_rows = 3 * kd + 1
+    return _RedBlackPlan(
+        order=order,
+        position=np.argsort(order),
+        n_red=n_red,
+        c_kr=c_rk.T.tocsr(),
+        c_rk=c_rk,
+        t_map=sp.csr_matrix((w, (entry, r)), shape=(keys.size, n_red)),
+        kd=kd,
+        cholesky_slots=cols * (kd + 1) + offsets,
+        lu_slots=np.concatenate([
+            cols * lu_rows + 2 * kd + offsets,
+            rows[mirrored] * lu_rows + 2 * kd - offsets[mirrored],
+        ]),
+        lu_terms=np.concatenate([np.arange(keys.size), mirrored]),
+        lu_columns=np.concatenate([cols, rows[mirrored]]),
+    )
+
+
 @lru_cache(maxsize=32)
 def _step_matrices(
     n_solution: int, h: float, xi: float, beta1: float, beta2: float, dt: float
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
-    """Cached ``B`` on the solution block, its diagonal, and its first and
-    ``n_solution``-th subdiagonals (its only other nonzero diagonals below the
-    main one); checks first that the step is well posed."""
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, _RedBlackPlan]:
+    """Cached ``B`` on the solution block, the diagonals of ``A`` and ``B``,
+    and the :class:`_RedBlackPlan` of its sweep matrices; checks first that
+    the step is well posed."""
     check_well_posed(
         f"the n_interior={n_solution - 1} model with xi={xi:.4g}",
         n_solution, h, xi, beta1, beta2, dt,
@@ -383,89 +474,124 @@ def _step_matrices(
     eye = sp.identity(n_solution, format="csr")
     lap = (sp.kron(eye, t1) + sp.kron(t1, eye)).tocsr() / h**2
     b_mat = beta1 * sp.identity(n_solution**2, format="csr") - beta2 * lap
-    return b_mat, b_mat.diagonal(0), b_mat.diagonal(-1), b_mat.diagonal(-n_solution)
+    plan = _red_black_plan(n_solution, b_mat.diagonal(-1), b_mat.diagonal(-n_solution))
+    b_diagonal = b_mat.diagonal(0)
+    return b_mat, xi * b_diagonal + 1.0 / dt, b_diagonal, plan
 
 
-class _BandLU:
-    """LU with partial pivoting (``dgbtrf``/``dgbtrs``) of the sweep matrix
-    ``M``, whose diagonal is ``diagonal`` and whose other entries are those of
-    ``B E``; ``lower1`` and ``lower_k`` are ``B``'s first and ``k``-th
-    subdiagonals."""
+class _RedBlack:
+    """The sweep matrix ``M``, whose diagonal is ``diagonal`` and whose other
+    entries are those of ``B E``, with its red nodes eliminated exactly.
 
-    def __init__(self, diagonal, lower1, lower_k, free, xi):
-        n, k = diagonal.size, diagonal.size - lower_k.size
+    ``M``'s red-red block is its diagonal ``M_R``, so red unknowns are
+    ``x_R = M_R^-1 (f_R - C_RK E_K x_K)`` and the black ones solve the Schur
+    complement ``S = M_K - T(v) E_K``, ``v = E_R / M_R``, for the right-hand
+    side ``f_K - C_KR (v f_R)``; a subclass factors ``S`` in ``_factor``
+    from the diagonal of ``M_K`` and the entries ``plan.t_map @ v`` of
+    ``T(v)``, and solves with it in ``_solve_black``.  The pivots are ``M_R``
+    followed by those of ``S``: together, the pivots of ``M``'s LU without
+    row exchanges in the red-black order.
+    """
+
+    def __init__(self, plan: _RedBlackPlan, diagonal, free, xi):
+        diagonal, free, n_red = diagonal[plan.order], free[plan.order], plan.n_red
         e = np.where(free, xi, 1.0)
-        band = np.zeros((3 * k + 1, n), order="F")
-        band[2 * k] = diagonal
-        band[2 * k + 1, :-1] = lower1 * e[:-1]
-        band[2 * k - 1, 1:] = lower1 * e[1:]
-        band[3 * k, :-k] = lower_k * e[:-k]
-        band[k, k:] = lower_k * e[k:]
+        self.plan, self.xi = plan, xi
+        self.red_diagonal = diagonal[:n_red]
+        self.v = e[:n_red] / self.red_diagonal
+        self.e_black = e[n_red:]
+        self._factor(diagonal[n_red:], plan.t_map @ self.v)
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """``M_R`` followed by the pivots of ``S``."""
+        return np.concatenate([self.red_diagonal, self._black_pivots()])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        plan = self.plan
+        f = rhs[plan.order]
+        f_red, f_black = f[: plan.n_red], f[plan.n_red :]
+        x_black = self._solve_black(f_black - plan.c_kr @ (self.v * f_red))
+        x_red = (f_red - plan.c_rk @ (self.e_black * x_black)) / self.red_diagonal
+        return np.concatenate([x_red, x_black])[plan.position]
+
+
+class _BandLU(_RedBlack):
+    """LU with partial pivoting (``dgbtrf``/``dgbtrs``) of the black Schur
+    complement ``S`` of :class:`_RedBlack`, in a ``(3 kd + 1, n_black)`` band."""
+
+    def _factor(self, diagonal, t):
+        plan, n, k = self.plan, diagonal.size, self.plan.kd
+        band = np.zeros((3 * k + 1) * n)
+        band[plan.lu_slots] = -t[plan.lu_terms] * self.e_black[plan.lu_columns]
+        band = band.reshape((3 * k + 1, n), order="F")
+        band[2 * k] += diagonal
         self.k = k
         self.lu, self.ipiv, info = lapack.dgbtrf(band, k, k, overwrite_ab=True)
         if info != 0:
             raise RuntimeError(f"band LU failed (dgbtrf info={info})")
 
-    @property
-    def pivots(self) -> np.ndarray:
+    def _black_pivots(self) -> np.ndarray:
         """The diagonal of ``U``."""
         return self.lu[2 * self.k]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _solve_black(self, rhs: np.ndarray) -> np.ndarray:
         x, info = lapack.dgbtrs(self.lu, self.k, self.k, rhs, self.ipiv)
         if info != 0:
             raise RuntimeError(f"band solve failed (dgbtrs info={info})")
         return x
 
 
-class _BandCholesky:
-    """Cholesky factorization ``L L^T`` (``dpbtrf``/``dpbtrs``) of ``M D``, for
-    the ``M`` of :class:`_BandLU` with the same arguments; ``M D`` is ``xi B``
-    off its diagonal.  It solves ``M x = rhs`` as ``x = D y``, ``M D y = rhs``."""
+class _BandCholesky(_RedBlack):
+    """Cholesky factorization ``L L^T`` (``dpbtrf``/``dpbtrs``) of ``S D_K``,
+    for the black Schur complement ``S`` of :class:`_RedBlack`, in a
+    ``(kd + 1, n_black)`` band.  ``S D_K = D_K M_K - xi T(v)`` is the Schur
+    complement of ``M D`` and so symmetric positive definite with it; ``S
+    x_K = f`` is solved as ``x_K = D_K y``, ``S D_K y = f``."""
 
-    def __init__(self, diagonal, lower1, lower_k, free, xi):
-        n, k = diagonal.size, diagonal.size - lower_k.size
-        self.d = np.where(free, 1.0, xi)
-        band = np.zeros((k + 1, n), order="F")
-        band[0] = diagonal * self.d
-        band[1, :-1] = xi * lower1
-        band[k, :-k] = xi * lower_k
+    def _factor(self, diagonal, t):
+        plan, n, k, xi = self.plan, diagonal.size, self.plan.kd, self.xi
+        self.d = xi / self.e_black  # D E = xi I
+        band = np.zeros((k + 1) * n)
+        band[plan.cholesky_slots] = -xi * t
+        band = band.reshape((k + 1, n), order="F")
+        band[0] += diagonal * self.d
         self.factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise RuntimeError(f"band Cholesky failed (dpbtrf info={info})")
 
-    @property
-    def pivots(self) -> np.ndarray:
-        """The pivots of ``M``'s LU without row exchanges, ``diag(L)^2 / d``."""
+    def _black_pivots(self) -> np.ndarray:
+        """The pivots of ``S``'s LU without row exchanges, ``diag(L)^2 / d``."""
         return self.factor[0] ** 2 / self.d
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _solve_black(self, rhs: np.ndarray) -> np.ndarray:
         y, info = lapack.dpbtrs(self.factor, rhs, lower=1)
         if info != 0:
             raise RuntimeError(f"band Cholesky solve failed (dpbtrs info={info})")
         return self.d * y
 
 
-def _factorize(diagonal, lower1, lower_k, free, xi, beta1, scale) -> _BandCholesky | _BandLU:
-    """Band Cholesky of ``M D`` when ``xi > 0`` and ``beta1 > 0``, band LU of
-    ``M`` otherwise, for the sweep matrix ``M`` of :class:`_BandLU` with the
-    same first five arguments; regularizes singular systems.
+def _factorize(plan, diagonal, free, xi, beta1, scale) -> _BandCholesky | _BandLU:
+    """The sweep matrix ``M`` of :class:`_RedBlack` with the same first four
+    arguments, its red nodes eliminated and its black Schur complement
+    factored by band Cholesky when ``xi > 0`` and ``beta1 > 0``, by band LU
+    otherwise; regularizes singular systems.
 
     The factorization of an exactly singular matrix may silently produce a
     tiny pivot instead of failing, so in regimes where singularity can occur
     (no bulk relaxation, or every node active) the pivots are checked
     explicitly, and a failed or singular factorization is repeated on
-    ``M + eps I`` with a tiny ``eps`` (on ``M D + eps D`` for band Cholesky).
+    ``M + eps I`` with a tiny ``eps``.
     """
     factor = _BandCholesky if xi > 0.0 and beta1 > 0.0 else _BandLU
     try:
-        lu = factor(diagonal, lower1, lower_k, free, xi)
+        lu = factor(plan, diagonal, free, xi)
         if beta1 == 0.0 or not free.any():
             pivots = np.abs(lu.pivots)
             if pivots.min() <= 1e-12 * max(pivots.max(), 1.0):
                 raise RuntimeError("numerically singular factorization")
     except RuntimeError:
-        lu = factor(diagonal + 1e-10 * scale, lower1, lower_k, free, xi)
+        lu = factor(plan, diagonal + 1e-10 * scale, free, xi)
     return lu
 
 
@@ -479,14 +605,14 @@ def _sweep_factorization(
     as the bytes of a boolean mask.
 
     One entry only: callers keep many states, and an n=128 factorization is
-    about 17 MB.  It is what the first sweep of each step reuses, since a step
+    about 9 MB.  It is what the first sweep of each step reuses, since a step
     starts from the sets the previous step converged on.
     """
-    _, b_diagonal, lower1, lower_k = _step_matrices(n_solution, h, xi, beta1, beta2, dt)
+    _, a_diagonal, b_diagonal, plan = _step_matrices(n_solution, h, xi, beta1, beta2, dt)
     free = ~np.frombuffer(active, dtype=bool)
-    diagonal = np.where(free, xi * b_diagonal + 1.0 / dt, b_diagonal)
+    diagonal = np.where(free, a_diagonal, b_diagonal)
     scale = 1.0 / dt + abs(xi) * (beta1 + 8.0 * beta2 / h**2)
-    return _factorize(diagonal, lower1, lower_k, free, xi, beta1, scale)
+    return _factorize(plan, diagonal, free, xi, beta1, scale)
 
 
 def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> StepState:
@@ -520,15 +646,15 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
     for sweeps in range(1, sim.max_sweeps + 1):
         active = active_pos | active_neg
         free = ~active
-        pinned = np.where(active_pos, 1.0, 0.0) - np.where(active_neg, 1.0, 0.0)
+        pinned = np.subtract(active_pos, active_neg, dtype=float)
         lu = _sweep_factorization(*key, active.tobytes())
         x = lu.solve(residual(pinned, 0.0))
-        u = pinned + np.where(free, x, 0.0)
+        u = np.where(free, x, pinned)
         lam = np.where(active, x, 0.0)
         r = residual(u, lam)
         if not np.abs(r).max() <= sim.solver_tol:  # also refines a NaN residual
             x += lu.solve(r)
-            u = pinned + np.where(free, x, 0.0)
+            u = np.where(free, x, pinned)
             lam = np.where(active, x, 0.0)
             r = residual(u, lam)
         c = sim.active_set_c

@@ -446,9 +446,9 @@ class TestFactorizationReuse:
         st, sim, _ = model_operators(9)
         factorize, masks = solver._factorize, []
 
-        def counting_factorize(diagonal, lower1, lower_k, free, *args):
+        def counting_factorize(plan, diagonal, free, *args):
             masks.append(free.copy())
-            return factorize(diagonal, lower1, lower_k, free, *args)
+            return factorize(plan, diagonal, free, *args)
 
         monkeypatch.setattr(solver, "_factorize", counting_factorize)
         solver._sweep_factorization.cache_clear()
@@ -558,6 +558,9 @@ CHOLESKY_CASES = {
     "desk-n32": OPERATOR_CASES["desk-n32"],
     "reference-n64": model_operators(8, reference_config())[2],
 }
+#: A grid with an even number of solution nodes per side; the desk and
+#: reference grids all have an odd number.
+EVEN_KEY = (66, 1.0 / 65, 0.02, 1.0, 0.05, 0.01)
 FREE_FRACTIONS = (0.0, 0.3, 0.7, 1.0)
 
 
@@ -565,6 +568,8 @@ def sweep_key(case):
     """The :func:`solver._sweep_factorization` operator key of a case."""
     if case == "xi=0":
         return (9, 1.0 / 8, 0.0, 1.0, 0.05, 0.01)
+    if case == "even-n66":
+        return EVEN_KEY
     return (OPERATOR_CASES | CHOLESKY_CASES)[case]
 
 
@@ -575,6 +580,32 @@ def sweep_matrix(key, free):
     b_dense = solver._step_matrices(*key)[0].toarray()
     a_dense = np.eye(n_solution**2) / dt + xi * b_dense
     return a_dense * free + b_dense * ~free
+
+
+def sparse_sweep_matrix(key, free):
+    """:func:`sweep_matrix` in CSR form."""
+    n_solution, h, xi, beta1, beta2, dt = key
+    b_mat = solver._step_matrices(*key)[0]
+    a_mat = sp.identity(n_solution**2) / dt + xi * b_mat
+    return (a_mat @ sp.diags(free * 1.0) + b_mat @ sp.diags(~free * 1.0)).tocsr()
+
+
+def checkerboard(n_solution):
+    """The red nodes (``i + j`` even) and the black ones, in the natural order."""
+    i, j = np.divmod(np.arange(n_solution**2), n_solution)
+    return np.flatnonzero((i + j) % 2 == 0), np.flatnonzero((i + j) % 2 == 1)
+
+
+def black_schur_complement(m_sparse, n_solution):
+    """``S = M_KK - M_KR M_RR^-1 M_RK``, dense, of a matrix on the solution
+    block with red nodes ``R`` and black nodes ``K``, whose red-red block
+    ``M_RR`` must be diagonal."""
+    red, black = checkerboard(n_solution)
+    m_sparse = sp.csr_matrix(m_sparse)
+    m_rr = m_sparse[red][:, red]
+    assert sp.triu(m_rr, 1).count_nonzero() == sp.tril(m_rr, -1).count_nonzero() == 0
+    m_kr, m_rk = m_sparse[black][:, red], m_sparse[red][:, black]
+    return (m_sparse[black][:, black] - m_kr @ sp.diags(1.0 / m_rr.diagonal()) @ m_rk).toarray()
 
 
 def regularization_shift(key):
@@ -641,10 +672,11 @@ def sweep_factors(key, free):
 
 def check_band_inputs(key, free):
     """The bands LAPACK is given for the sweep matrix of ``free`` are those of
-    dense ``M = A P_F + B P_A`` (``dgbtrf``) and ``M D`` (``dpbtrf``),
-    exactly, with ``eps`` on ``M``'s diagonal when it is regularized."""
+    the black Schur complement of ``M = A P_F + B P_A`` (``dgbtrf``) and of
+    ``M D`` (``dpbtrf``), to round-off, with ``eps`` on ``M``'s diagonal when
+    it is regularized."""
     n_solution, h, xi, beta1 = key[:4]
-    m_dense = sweep_matrix(key, free)
+    m_sparse = sparse_sweep_matrix(key, free)
     factors = sweep_factors(key, free)
     assert set(factors) == (
         {solver._BandLU, solver._BandCholesky} if xi > 0.0 and beta1 > 0.0 else {solver._BandLU}
@@ -654,33 +686,40 @@ def check_band_inputs(key, free):
         # Only B alone with beta1 = 0 is singular.
         assert len(bands) == (2 if beta1 == 0.0 and not free.any() else 1)
         for band, shift in zip(bands, shifts):
-            m_shifted = m_dense + shift * np.eye(len(m_dense))
+            m_shifted = m_sparse + shift * sp.identity(n_solution**2)
             if backend is solver._BandLU:
-                expected = general_band(m_shifted, n_solution)
+                schur = black_schur_complement(m_shifted, n_solution)
+                expected = general_band(schur, n_solution)
             else:
-                expected = lower_band(m_shifted * np.where(free, 1.0, xi), n_solution)
-            np.testing.assert_array_equal(band, expected)
+                m_d = m_shifted @ sp.diags(np.where(free, 1.0, xi))
+                expected = lower_band(black_schur_complement(m_d, n_solution), n_solution)
+            assert band.shape == expected.shape
+            np.testing.assert_allclose(band, expected, rtol=1e-13,
+                                       atol=1e-14 * np.abs(expected).max())
 
 
 class TestMaskedAssembly:
-    """Both band factorizations assemble the sweep matrix, ``A``'s columns at
-    free nodes and ``B``'s at active ones, from ``B``'s three diagonals."""
+    """Both band factorizations assemble the black Schur complement of the
+    sweep matrix, ``A``'s columns at free nodes and ``B``'s at active ones,
+    from ``B`` alone."""
 
     @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
     def test_operators_share_a_sorted_pattern(self, case):
-        # B, the operator of every residual, is exactly the sum of the
-        # diagonals both band factorizations read, and matches the
-        # node-by-node assembly of the oracle.
+        # B, the operator of every residual, is exactly the sum of its five
+        # diagonals, so its red-red and black-black blocks are diagonal, and
+        # it matches the node-by-node assembly of the oracle.
         n_solution, h, xi, beta1, beta2, dt = key = OPERATOR_CASES[case]
-        b_mat, diagonal, lower1, lower_k = solver._step_matrices(*key)
+        b_mat, _, diagonal, _ = solver._step_matrices(*key)
         assert b_mat.format == "csr" and b_mat.has_sorted_indices
+        np.testing.assert_array_equal(diagonal, b_mat.diagonal())
+        lower1, lower_k = b_mat.diagonal(-1), b_mat.diagonal(-n_solution)
         offsets = [-n_solution, -1, 0, 1, n_solution]
         rebuilt = sp.diags([lower_k, lower1, diagonal, lower1, lower_k], offsets)
         np.testing.assert_array_equal(b_mat.toarray(), rebuilt.toarray())
         _, b_oracle = dense_operators(n_solution, h, beta1, beta2, dt, xi)
         np.testing.assert_allclose(b_mat.toarray(), b_oracle, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES) + ["xi=0"])
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES) + ["xi=0", "even-n66"])
     def test_a_is_identity_over_dt_plus_xi_b(self, case):
         key = sweep_key(case)
         rng = np.random.default_rng(11)
@@ -696,6 +735,44 @@ class TestMaskedAssembly:
     def test_selection_matches_masked_products(self, case, seed, free_fraction):
         key = OPERATOR_CASES[case]
         check_band_inputs(key, np.random.default_rng(seed).random(key[0] ** 2) < free_fraction)
+
+
+class TestRedBlackPlan:
+    """The per-grid plan of the red-node elimination."""
+
+    KEYS = {"odd-n17": OPERATOR_CASES["desk"], "even-n66": EVEN_KEY}
+
+    @pytest.mark.parametrize("case", sorted(KEYS))
+    def test_t_map_rebuilds_the_reduced_coupling(self, case):
+        n_solution = self.KEYS[case][0]
+        plan = solver._step_matrices(*self.KEYS[case])[3]
+        n_black = n_solution**2 - plan.n_red
+        v = np.random.default_rng(29).standard_normal(plan.n_red)
+        expected = sp.tril(plan.c_kr @ sp.diags(v) @ plan.c_rk).toarray()
+        # The entries' slots in the lower band give their rows and columns.
+        assert plan.kd == n_solution
+        cols, offsets = np.divmod(plan.cholesky_slots, plan.kd + 1)
+        assert len(set(plan.cholesky_slots)) == plan.cholesky_slots.size
+        np.testing.assert_array_equal(cols[:n_black], np.arange(n_black))
+        np.testing.assert_array_equal(offsets[:n_black], 0)
+        rebuilt = np.zeros((n_black, n_black))
+        rebuilt[cols + offsets, cols] = plan.t_map @ v
+        np.testing.assert_allclose(rebuilt, expected, rtol=1e-14,
+                                   atol=1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("case", sorted(KEYS))
+    def test_couplings_are_the_off_diagonals_of_b(self, case):
+        n_solution = self.KEYS[case][0]
+        b_mat, _, _, plan = solver._step_matrices(*self.KEYS[case])
+        red, black = checkerboard(n_solution)
+        np.testing.assert_array_equal(plan.order, np.concatenate([red, black]))
+        np.testing.assert_array_equal(plan.order[plan.position], np.arange(n_solution**2))
+        assert plan.n_red == red.size
+        np.testing.assert_array_equal(plan.c_rk.toarray(), b_mat[red][:, black].toarray())
+        np.testing.assert_array_equal(plan.c_kr.toarray(), b_mat[black][:, red].toarray())
+        for colour in (red, black):
+            block = b_mat[colour][:, colour]
+            assert sp.triu(block, 1).count_nonzero() == sp.tril(block, -1).count_nonzero() == 0
 
 
 class TestFactorizationBackends:
@@ -780,7 +857,7 @@ class TestFactorizationBackends:
         b_mat = solver._step_matrices(*key)[0]
         a_mat = sp.identity(grid.n_solution**2) / sim.dt + st.xi * b_mat
 
-        def sparse_lu(diagonal, lower1, lower_k, free, *args):
+        def sparse_lu(plan, diagonal, free, *args):
             m_mat = a_mat @ sp.diags(free * 1.0) + b_mat @ sp.diags(~free * 1.0)
             return spla.splu(m_mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
 

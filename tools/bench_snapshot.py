@@ -2,21 +2,27 @@
 
 Runs ``bench/run.py`` of a checkout untraced for every workload named in its
 ``BENCHMARK.json`` over a few seeds, then once more per workload with
-``--trace 1`` for the noise-free counters, and writes the medians, the
-counters, the versions and the exact commands (run in the checkout's root)
-to ``BENCH_<label>.json`` at the root of the repository holding this script::
+``--trace 1`` for the noise-free counters.  The traced solver counters read
+0 (``bench/layers.py`` counts ``splu`` calls, which the solver no longer
+makes), so it also runs ``tools/solver_counts.py`` of this repository on the
+checkout for the factorization, sweep and solve counts and the factored band
+sizes.  It writes the medians, the counters, the versions and the exact
+commands (the bench's run in the checkout's root, the counts' in this
+repository's) to ``BENCH_<label>.json`` at the root of the repository holding
+this script::
 
     python3 tools/bench_snapshot.py --label after
     python3 tools/bench_snapshot.py --label before --repo ../checkout-of-parent
 
 Each run takes the benchmark's own ``run_seconds``, so three workloads over
-three seeds take about eight minutes.
+three seeds take about eight minutes, and the counts about 10 s more.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -35,6 +41,9 @@ COUNTERS = (
     "solver.repeat_factorizations",
     "campaign.evaluations_computed",
 )
+
+#: Counts of ``tools/solver_counts.py`` kept per round set.
+SOLVER_COUNTS = ("factorizations", "sweeps", "solves", "factored_unknowns", "band_flops")
 
 
 def git(repo: Path, *args: str) -> str:
@@ -55,6 +64,20 @@ def bench(repo: Path, commands: list[str], workload: str, seed: int, seconds: fl
     if not lines:
         sys.exit(f"bench_snapshot: {commands[-1]} printed no result:\n{done.stderr}")
     return json.loads(lines[-1])
+
+
+def solver_counts(repo: Path, commands: list[str], seed: int) -> dict:
+    """The :data:`SOLVER_COUNTS` of both serial round sets of ``repo``."""
+    argv = [sys.executable, "tools/solver_counts.py", "--repo", os.path.relpath(repo, ROOT),
+            "--seed", str(seed), "--repeats", "0"]
+    commands.append(" ".join(["python3", *argv[1:]]))
+    print(f"[{len(commands)}] {commands[-1]}", file=sys.stderr, flush=True)
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"bench_snapshot: {commands[-1]} failed:\n{done.stderr}")
+    counts = json.loads(done.stdout)
+    return {name: {k: counts[name][k] for k in SOLVER_COUNTS}
+            for name in ("hf-reference", "desk-models")}
 
 
 def snapshot(repo: Path, label: str, seeds: list[int]) -> dict:
@@ -88,6 +111,7 @@ def snapshot(repo: Path, label: str, seeds: list[int]) -> dict:
         "seeds": seeds,
         "commands": commands,
         "workloads": workloads,
+        "solver_counts": solver_counts(repo, commands, seeds[0]),
     }
 
 

@@ -3,16 +3,20 @@
 Counts the factorizations, active-set sweeps and solves of the two serial
 bench round sets at one seed, per factorization backend (``BandCholesky`` or
 ``BandLU``), by wrapping ``solver._factorize`` (and the ``solve`` of each
-factor it returns) and ``solver.time_step``:
+factor it returns) and ``solver.time_step``.  Per backend it also sums the
+size of each factorization's LAPACK band: ``factored_unknowns`` adds its
+columns ``N_band`` and ``band_flops`` adds ``N_band * kd**2``, the order of
+the factorization's flops for bandwidth ``kd``.  The round sets are:
 
 * ``hf-reference``: the first 10 steps of reference model 1 (n=128) from
   pilot inputs 0-2;
 * ``desk-models``: the nine desk models at pilot inputs 0-2.
 
-These counts repeat exactly from run to run and do not depend on how the
-sweep matrix is factorized, so they compare two versions of the solver where
-``bench/layers.py`` cannot: it counts ``splu`` calls only, and the solver
-makes none.
+These counts repeat exactly from run to run, so they compare two versions of
+the solver where ``bench/layers.py`` cannot: it counts ``splu`` calls only,
+and the solver makes none.  The factorization, sweep and solve counts do not
+depend on how the sweep matrix is factorized; the band sizes show how much
+each factorization works on.
 
 Then it times ``run_pilot`` of a two-model n=64 family (delta 0.25 and
 0.1875, ``t_final`` 0.1, 6 pilot samples) at ``workers`` 1 and 2, in
@@ -23,6 +27,7 @@ BLAS threads.  Run as::
 
     python3 tools/solver_counts.py
     python3 tools/solver_counts.py --repo ../checkout-of-parent
+    python3 tools/solver_counts.py --repeats 0    # the counts only
 
 It prints one JSON object; the counts take about 10 s and each pilot about
 2 s on a 2-core machine.
@@ -43,6 +48,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 STEPS = 10
 INPUTS = 3
+
+
+def band_size(factor) -> tuple[int, int]:
+    """The columns and the bandwidth of the LAPACK band a factor holds: band
+    LU keeps ``3 kd + 1`` rows in ``lu`` and ``kd`` in ``k``, band Cholesky
+    ``kd + 1`` rows in ``factor``."""
+    if hasattr(factor, "lu"):
+        return factor.lu.shape[1], factor.k
+    return factor.factor.shape[1], factor.factor.shape[0] - 1
 
 
 class CountingFactor:
@@ -66,7 +80,10 @@ def counting(solver):
     def counting_factorize(*args):
         factor = factorize(*args)
         backend = type(factor).__name__.lstrip("_")
+        columns, kd = band_size(factor)
         counts[f"factorizations.{backend}"] += 1
+        counts[f"factored_unknowns.{backend}"] += columns
+        counts[f"band_flops.{backend}"] += columns * kd**2
         return CountingFactor(factor, counts, backend)
 
     def counting_time_step(*args):
@@ -82,7 +99,7 @@ def counting(solver):
     finally:
         solver._factorize, solver.time_step = factorize, time_step
         solver._sweep_factorization.cache_clear()
-    for name in ("factorizations", "solves"):
+    for name in ("factorizations", "solves", "factored_unknowns", "band_flops"):
         counts[name] = sum(v for k, v in counts.items() if k.startswith(f"{name}."))
 
 
@@ -141,7 +158,7 @@ def main(argv=None) -> int:
                         help="checkout whose src/phaseuq is probed (default: this repository)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the bench round sets")
     parser.add_argument("--repeats", type=int, default=2,
-                        help="pilot runs per worker count")
+                        help="pilot runs per worker count; 0 skips the pilot")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.repo.resolve() / "src"))
     import phaseuq as pq
@@ -151,8 +168,9 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "hf-reference": hf_reference_counts(pq, args.seed),
         "desk-models": desk_models_counts(pq, args.seed),
-        "pilot-n64": pilot_timings(pq, args.repeats),
     }
+    if args.repeats > 0:
+        result["pilot-n64"] = pilot_timings(pq, args.repeats)
     print(json.dumps(result, indent=2))
     return 0
 
