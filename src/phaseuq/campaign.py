@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from .artifacts import encode
-from .errors import ConfigError, InsufficientBudgetError
+from .errors import ConfigError, InsufficientBudgetError, as_int
 from .grid import KernelParams
 from .mfmc import (
     AllocationPlan,
@@ -163,8 +163,9 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.version != _CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {self.version}")
-        # The pilot stream checks the seed and holds a numpy integer as an int.
-        object.__setattr__(self, "master_seed", pilot_stream(self.master_seed).master_seed)
+        for name in ("master_seed", "pilot_samples", "replicates", "validation_samples",
+                     "workers"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not self.models:
             raise ConfigError("campaign needs at least one model")
         ids = [m.model_id for m in self.models]

@@ -6,9 +6,14 @@ and carries an ``exit_code`` used by the command-line interface:
 * 2 -- configuration or input validation problem,
 * 3 -- requested estimator cannot be built (infeasible subset / insufficient budget),
 * 4 -- the nonlinear solver failed to converge.
+
+:func:`as_int` is the one check of an integer setting or index; it raises
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "PhaseUQError",
@@ -61,3 +66,10 @@ class ConvergenceError(PhaseUQError):
     """The active-set solver did not converge within the sweep limit."""
 
     exit_code = 4
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as a Python int; a bool or a non-integral number is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    return int(value)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 from .solver import DEPTH_RANGE, SHIFT_RANGE, RandomInputs
 
 __all__ = [
@@ -31,13 +31,6 @@ __all__ = [
 PILOT_TAG = "pilot"
 VALIDATION_TAG = "validation"
 REPLICATE_TAG_FORMAT = "estimate:{:d}"
-
-
-def _as_int(value, name: str) -> int:
-    """``value`` as a Python int; a bool or a non-integral number is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an int, got {value!r}")
-    return int(value)
 
 
 def _stream_key(master_seed: int, tag: str, index: int) -> int:
@@ -53,13 +46,13 @@ class SampleStream:
     tag: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "master_seed", _as_int(self.master_seed, "master_seed"))
+        object.__setattr__(self, "master_seed", as_int(self.master_seed, "master_seed"))
         if not self.tag:
             raise ConfigError("stream tag must be non-empty")
 
     def theta(self, index: int) -> RandomInputs:
         """The random input at a given stream index (independent of batching)."""
-        index = _as_int(index, "stream index")
+        index = as_int(index, "stream index")
         if index < 0:
             raise ConfigError(f"stream index must be >= 0, got {index}")
         key = _stream_key(self.master_seed, self.tag, index)
@@ -77,7 +70,7 @@ def pilot_stream(master_seed: int) -> SampleStream:
 
 def replicate_stream(master_seed: int, replicate: int) -> SampleStream:
     """Independent stream for one estimator replicate."""
-    replicate = _as_int(replicate, "replicate index")
+    replicate = as_int(replicate, "replicate index")
     if replicate < 0:
         raise ConfigError(f"replicate index must be >= 0, got {replicate}")
     return SampleStream(master_seed, REPLICATE_TAG_FORMAT.format(replicate))

@@ -47,10 +47,15 @@ holds a 26 MB band (204 MB at ``n_interior = 256``).
 
 Each residual of a step is one product by ``B``:
 ``r(u, lam) = rhs0 - u / dt - B (xi u + lam) = rhs0 - A u - B lam``.  A sweep
-solves ``M x = r(pinned, 0)`` and takes the residual ``r`` of that solve; only
-when ``max |r|`` misses ``solver_tol`` (or is NaN) does it refine ``x`` once by
-a second solve from ``r``.  The step is accepted when the last sweep's
-``max |r(u, lam)|`` is within ``solver_tol``.
+solves ``M x = r(pinned, 0)`` and applies the sign test to its ``u`` and
+``lam``; as in any semismooth Newton method, a sweep whose sets change only
+proposes the next sets, and its residual is never formed.  Only the sweep
+that reproduces its own sets forms ``r = r(u, lam)``; when ``max |r|`` misses
+``solver_tol`` (or is NaN) it refines ``x`` once by a second solve from
+``r`` and tests the refined ``u`` and ``lam`` again, going on with the new
+sets if they changed.  The step is accepted when that ``max |r|`` is within
+``solver_tol``, so a sweep makes one product by ``B`` and the accepting
+sweep one more.
 
 A one-entry cache keyed by the operators and the active set carries the last
 factorization to the next call: a step starts from the active sets its
@@ -79,7 +84,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import lapack
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, as_int
 from .grid import ConvolutionStencil, Grid, KernelParams, cached_stencil, convolve
 
 __all__ = [
@@ -150,6 +155,8 @@ class ModelSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("model_id", "n_interior"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.model_id < 1:
             raise ConfigError(f"model_id must be >= 1, got {self.model_id}")
         if self.n_interior < 1:
@@ -198,6 +205,7 @@ class SimParams:
     interaction_fill: str = "initial"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_sweeps", as_int(self.max_sweeps, "max_sweeps"))
         for name in ("beta1", "beta2", "dt", "t_final", "solver_tol", "active_set_c"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -637,11 +645,18 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
     def residual(u, lam):  # rhs0 - A u - B lam, with one product by B
         return rhs0 - u / sim.dt - b_mat @ (stencil.xi * u + lam)
 
+    def sign_test(u, lam):
+        c = sim.active_set_c
+        return (lam + c * (u - 1.0) > _ACTIVATION_TOL,
+                lam + c * (u + 1.0) < -_ACTIVATION_TOL)
+
+    def repeats(new_pos, new_neg):
+        return np.array_equal(new_pos, active_pos) and np.array_equal(new_neg, active_neg)
+
     active_pos = state.active_pos.copy()
     active_neg = state.active_neg.copy()
     u = u_prev
     lam = state.multiplier
-    converged = False
     sweeps = 0
     for sweeps in range(1, sim.max_sweeps + 1):
         active = active_pos | active_neg
@@ -651,26 +666,26 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
         x = lu.solve(residual(pinned, 0.0))
         u = np.where(free, x, pinned)
         lam = np.where(active, x, 0.0)
-        r = residual(u, lam)
-        if not np.abs(r).max() <= sim.solver_tol:  # also refines a NaN residual
-            x += lu.solve(r)
-            u = np.where(free, x, pinned)
-            lam = np.where(active, x, 0.0)
+        new_pos, new_neg = sign_test(u, lam)
+        if repeats(new_pos, new_neg):
             r = residual(u, lam)
-        c = sim.active_set_c
-        new_pos = lam + c * (u - 1.0) > _ACTIVATION_TOL
-        new_neg = lam + c * (u + 1.0) < -_ACTIVATION_TOL
-        if np.array_equal(new_pos, active_pos) and np.array_equal(new_neg, active_neg):
-            converged = True
-            break
+            if not np.abs(r).max() <= sim.solver_tol:  # also refines a NaN residual
+                x += lu.solve(r)
+                u = np.where(free, x, pinned)
+                lam = np.where(active, x, 0.0)
+                r = residual(u, lam)
+                new_pos, new_neg = sign_test(u, lam)
+            if repeats(new_pos, new_neg):
+                break
         active_pos, active_neg = new_pos, new_neg
-
-    max_residual = float(np.abs(r).max())
-    if not converged:
+    else:
+        max_residual = float(np.abs(residual(u, lam)).max())
         raise ConvergenceError(
             f"active sets did not stabilize in {sim.max_sweeps} sweeps at "
             f"t={state.t + sim.dt:.6g} (last residual {max_residual:.3e})"
         )
+
+    max_residual = float(np.abs(r).max())
     if not max_residual <= sim.solver_tol:  # also catches a NaN residual
         raise ConvergenceError(
             f"linear residual {max_residual:.3e} exceeds solver_tol={sim.solver_tol:.3e} "

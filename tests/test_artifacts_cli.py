@@ -547,6 +547,16 @@ class TestConfigJson:
             replace(micro_config, budgets=(1.0, -2.0))
         with pytest.raises(ConfigError):
             replace(micro_config, workers=0)
+        # integer fields refuse a bool or a float and hold a numpy integer as
+        # the equal int, so the JSON form does not change
+        for name in ("pilot_samples", "replicates", "validation_samples", "workers"):
+            value = getattr(micro_config, name)
+            for bad in (float(value), value + 0.5, True):
+                with pytest.raises(ConfigError, match=f"{name} must be an int"):
+                    replace(micro_config, **{name: bad})
+            held = replace(micro_config, **{name: np.int64(value)})
+            assert type(getattr(held, name)) is int
+            assert held.to_json() == micro_config.to_json()
 
     def test_master_seed_is_an_integer(self, micro_config):
         # a numpy integer is held as the equal int, so the JSON form and the

@@ -70,6 +70,15 @@ class TestParams:
             with pytest.raises(ConfigError, match="delta must be positive and finite"):
                 ModelSpec(model_id=1, n_interior=8, delta=delta)
         assert ModelSpec(model_id=1, n_interior=8, delta=0.25).h == 0.125
+        # integer fields: a numpy integer is held as the equal int
+        spec = ModelSpec(model_id=np.int64(2), n_interior=np.int32(8), delta=0.25)
+        assert spec == ModelSpec(model_id=2, n_interior=8, delta=0.25)
+        assert type(spec.model_id) is int and type(spec.n_interior) is int
+        for changes in ({"n_interior": 8.5}, {"n_interior": 8.0}, {"model_id": True},
+                        {"model_id": np.bool_(True)}, {"model_id": "2"}):
+            name = next(iter(changes))
+            with pytest.raises(ConfigError, match=f"{name} must be an int"):
+                ModelSpec(**{"model_id": 2, "n_interior": 8, "delta": 0.25, **changes})
 
     def test_sim_params_validation(self):
         with pytest.raises(ConfigError):
@@ -82,6 +91,10 @@ class TestParams:
             SimParams(interaction_fill="bogus")
         with pytest.raises(ConfigError):
             SimParams(max_sweeps=0)
+        for max_sweeps in (2.5, 3.0, True, "3"):
+            with pytest.raises(ConfigError, match="max_sweeps must be an int"):
+                SimParams(max_sweeps=max_sweeps)
+        assert type(SimParams(max_sweeps=np.int64(3)).max_sweeps) is int
         assert SimParams(t_final=0.1, dt=0.01).n_steps == 10
         assert SimParams(t_final=0.0).n_steps == 0
 
@@ -370,7 +383,8 @@ class TestRunAndEvaluate:
         # discard the warm start so the first sweep must misclassify
         state.active_pos[:] = False
         state.active_neg[:] = False
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError,
+                           match=r"did not stabilize in 1 sweeps .*\(last residual "):
             time_step(state, st, sim)
 
     def test_nan_solve_raises_convergence_error(self, monkeypatch):
@@ -480,53 +494,94 @@ class TestFactorizationReuse:
         np.testing.assert_array_equal(per_step, [s.sweeps for s in fresh[1:]])
         assert len(reused) == len(fresh)
         for a, b in zip(reused, fresh):
-            np.testing.assert_array_equal(a.padded, b.padded)
-            np.testing.assert_array_equal(a.multiplier, b.multiplier)
-            np.testing.assert_array_equal(a.chemical_potential, b.chemical_potential)
-            assert a.sweeps == b.sweeps and a.residual == b.residual
+            assert_same_step(a, b)
+
+
+def assert_same_step(a, b):
+    """Two step states are equal bit for bit."""
+    for name in ("padded", "multiplier", "chemical_potential", "active_pos", "active_neg"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.sweeps == b.sweeps and a.residual == b.residual
 
 
 class CountedFactor:
     """Forwards ``solve`` to a factorization and counts the calls in
-    ``counts``; the first solve of all is off by ``counts["miss"]`` in one
-    entry."""
+    ``counts``; the solve numbered ``counts["miss_at"]`` (from 0) is off by
+    ``counts["miss"]`` in one entry."""
 
     def __init__(self, factor, counts):
         self.factor, self.counts = factor, counts
 
     def solve(self, rhs):
         x = self.factor.solve(rhs)
-        if self.counts["solves"] == 0:
+        if self.counts["solves"] == self.counts["miss_at"]:
             x[x.size // 2] += self.counts["miss"]
         self.counts["solves"] += 1
         return x
 
 
+class CountedB:
+    """Forwards products to ``B`` and counts them in ``counts``."""
+
+    def __init__(self, b_mat, counts):
+        self.b_mat, self.counts = b_mat, counts
+
+    def __matmul__(self, other):
+        self.counts["b_products"] += 1
+        return self.b_mat @ other
+
+
 class TestSolveCount:
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts, factorize = {"solves": 0, "miss": 0.0}, solver._factorize
+        counts = {"solves": 0, "b_products": 0, "miss": 0.0, "miss_at": 0}
+        factorize, step_matrices = solver._factorize, solver._step_matrices
         monkeypatch.setattr(solver, "_factorize",
                             lambda *args: CountedFactor(factorize(*args), counts))
+        monkeypatch.setattr(solver, "_step_matrices", lambda *args: (
+            CountedB(step_matrices(*args)[0], counts), *step_matrices(*args)[1:]))
         solver._sweep_factorization.cache_clear()
         yield counts
         solver._sweep_factorization.cache_clear()
 
-    def test_one_solve_per_sweep(self, counts):
-        config, sweeps = desk_config(), []
+    @staticmethod
+    def desk_steps():
+        """Every time step of the nine desk models at ``ASYM_THETA``."""
+        config, states = desk_config(), []
         for model in config.models:
             st = config_stencil(config, model)
-            run_simulation(st.grid, st, ASYM_THETA, config.sim,
-                           on_step=lambda state: sweeps.append(state.sweeps))
+            run_simulation(st.grid, st, ASYM_THETA, config.sim, on_step=states.append)
+        return [state for state in states if state.t > 0.0]
+
+    def test_one_solve_per_sweep(self, counts):
+        sweeps = [state.sweeps for state in self.desk_steps()]
         assert sum(sweeps) > len(sweeps)
         assert counts["solves"] == sum(sweeps)
 
+    def test_one_b_product_per_sweep(self, counts):
+        # rhs0 once per step, r(pinned, 0) once per sweep, and r(u, lam) once
+        # more in the sweep that repeats its active sets and accepts the step
+        steps = self.desk_steps()
+        sweeps = sum(state.sweeps for state in steps)
+        assert sweeps > len(steps)
+        assert counts["b_products"] == len(steps) + sweeps + len(steps)
+
     @pytest.mark.parametrize("model_id", [8, 9], ids=["cholesky", "lu"])
     def test_missed_residual_takes_one_refinement(self, counts, model_id):
+        # Each solve of the step in turn is off by 1e-6.  A miss in a sweep
+        # whose sets change is never checked and leaves the step as it was;
+        # only the last sweep's miss costs one refinement.
         st, sim, _ = model_operators(model_id)
-        counts["miss"] = 1e-6
         prev = initial_state(st.grid, ASYM_THETA, sim)
-        state = time_step(prev, st, sim)
+        exact = time_step(prev, st, sim)
+        assert exact.sweeps > 1 and counts["solves"] == exact.sweeps
+        counts["miss"] = 1e-6
+        for miss_at in range(exact.sweeps):
+            counts["solves"], counts["miss_at"] = 0, miss_at
+            state = time_step(prev, st, sim)
+            if miss_at < exact.sweeps - 1:
+                assert counts["solves"] == exact.sweeps
+                assert_same_step(state, exact)
         assert counts["solves"] == state.sweeps + 1
         assert state.residual <= sim.solver_tol
 

@@ -5,11 +5,11 @@ Runs ``bench/run.py`` of a checkout untraced for every workload named in its
 ``--trace 1`` for the noise-free counters.  The traced solver counters read
 0 (``bench/layers.py`` counts ``splu`` calls, which the solver no longer
 makes), so it also runs ``tools/solver_counts.py`` of this repository on the
-checkout for the factorization, sweep and solve counts and the factored band
-sizes.  It writes the medians, the counters, the versions and the exact
-commands (the bench's run in the checkout's root, the counts' in this
-repository's) to ``BENCH_<label>.json`` at the root of the repository holding
-this script::
+checkout for the factorization, sweep, solve and ``B``-product counts and the
+factored band sizes.  It writes the medians, the counters, the versions and
+the exact commands (the bench's run in the checkout's root, the counts' in
+this repository's) to ``BENCH_<label>.json`` at the root of the repository
+holding this script::
 
     python3 tools/bench_snapshot.py --label after
     python3 tools/bench_snapshot.py --label before --repo ../checkout-of-parent
@@ -43,7 +43,8 @@ COUNTERS = (
 )
 
 #: Counts of ``tools/solver_counts.py`` kept per round set.
-SOLVER_COUNTS = ("factorizations", "sweeps", "solves", "factored_unknowns", "band_flops")
+SOLVER_COUNTS = ("factorizations", "sweeps", "solves", "b_products", "factored_unknowns",
+                 "band_flops")
 
 
 def git(repo: Path, *args: str) -> str:

@@ -3,10 +3,12 @@
 Counts the factorizations, active-set sweeps and solves of the two serial
 bench round sets at one seed, per factorization backend (``BandCholesky`` or
 ``BandLU``), by wrapping ``solver._factorize`` (and the ``solve`` of each
-factor it returns) and ``solver.time_step``.  Per backend it also sums the
-size of each factorization's LAPACK band: ``factored_unknowns`` adds its
-columns ``N_band`` and ``band_flops`` adds ``N_band * kd**2``, the order of
-the factorization's flops for bandwidth ``kd``.  The round sets are:
+factor it returns) and ``solver.time_step``, and the products by ``B``
+(``b_products``) by wrapping the ``B`` that ``solver._step_matrices``
+returns.  Per backend it also sums the size of each factorization's LAPACK
+band: ``factored_unknowns`` adds its columns ``N_band`` and ``band_flops``
+adds ``N_band * kd**2``, the order of the factorization's flops for
+bandwidth ``kd``.  The round sets are:
 
 * ``hf-reference``: the first 10 steps of reference model 1 (n=128) from
   pilot inputs 0-2;
@@ -14,9 +16,9 @@ the factorization's flops for bandwidth ``kd``.  The round sets are:
 
 These counts repeat exactly from run to run, so they compare two versions of
 the solver where ``bench/layers.py`` cannot: it counts ``splu`` calls only,
-and the solver makes none.  The factorization, sweep and solve counts do not
-depend on how the sweep matrix is factorized; the band sizes show how much
-each factorization works on.
+and the solver makes none.  The factorization, sweep, solve and product
+counts do not depend on how the sweep matrix is factorized; the band sizes
+show how much each factorization works on.
 
 Then it times ``run_pilot`` of a two-model n=64 family (delta 0.25 and
 0.1875, ``t_final`` 0.1, 6 pilot samples) at ``workers`` 1 and 2, in
@@ -70,12 +72,24 @@ class CountingFactor:
         return self.factor.solve(rhs)
 
 
+class CountingB:
+    """Forwards products to ``B`` and counts them."""
+
+    def __init__(self, b_mat, counts: Counter):
+        self.b_mat, self.counts = b_mat, counts
+
+    def __matmul__(self, other):
+        self.counts["b_products"] += 1
+        return self.b_mat @ other
+
+
 @contextlib.contextmanager
 def counting(solver):
     """Count, while the body runs, into the ``Counter`` it is given; the
     one-entry factorization cache starts empty."""
     counts: Counter = Counter()
     factorize, time_step = solver._factorize, solver.time_step
+    step_matrices = solver._step_matrices
 
     def counting_factorize(*args):
         factor = factorize(*args)
@@ -92,12 +106,18 @@ def counting(solver):
         counts["sweeps"] += state.sweeps
         return state
 
+    def counting_step_matrices(*args):
+        b_mat, *rest = step_matrices(*args)
+        return (CountingB(b_mat, counts), *rest)
+
     solver._factorize, solver.time_step = counting_factorize, counting_time_step
+    solver._step_matrices = counting_step_matrices
     solver._sweep_factorization.cache_clear()
     try:
         yield counts
     finally:
         solver._factorize, solver.time_step = factorize, time_step
+        solver._step_matrices = step_matrices
         solver._sweep_factorization.cache_clear()
     for name in ("factorizations", "solves", "factored_unknowns", "band_flops"):
         counts[name] = sum(v for k, v in counts.items() if k.startswith(f"{name}."))
