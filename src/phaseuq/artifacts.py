@@ -41,7 +41,7 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 
-from .errors import ConfigError
+from .errors import ConfigError, as_float, as_int
 from .mfmc import ModelStats, SubsetCandidate
 
 if TYPE_CHECKING:
@@ -60,9 +60,6 @@ __all__ = [
     "write_field_csv",
     "read_field_csv",
 ]
-
-#: JSON values accepted for each scalar type; a bool is never a number.
-_JSON_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 #: Array annotations the codec reads, with the scalar type of their elements.
 _JSON_ARRAYS = {np.ndarray: float, npt.NDArray[np.int64]: int}
@@ -93,9 +90,10 @@ def encode(value):
 def decode(hint, value, where: str):
     """A JSON value as an instance of the annotated type ``hint``: a
     dataclass, an ``X | None``, a ``tuple[X, ...]``, an array of one of
-    ``_JSON_ARRAYS`` from a list or a rectangular nest of lists, or ``bool``,
-    ``int``, ``float`` or ``str``, each from its own JSON type; a ``float``
-    must be finite."""
+    ``_JSON_ARRAYS`` from a list or a rectangular nest of lists, an ``int`` or
+    ``float`` checked by :func:`~phaseuq.errors.as_int` or
+    :func:`~phaseuq.errors.as_float`, or a ``bool`` or ``str`` from its own
+    JSON type."""
     if is_dataclass(hint):
         if not isinstance(value, Mapping):
             raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
@@ -133,15 +131,13 @@ def decode(hint, value, where: str):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
         return tuple(decode(get_args(hint)[0], item, where) for item in value)
-    if isinstance(value, bool) != (hint is bool) or not isinstance(value, _JSON_SCALARS[hint]):
+    if hint is int:
+        return as_int(value, where)
+    if hint is float:
+        return as_float(value, where)
+    if not isinstance(value, hint):
         raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
-    try:
-        result = hint(value)
-    except OverflowError:
-        raise ConfigError(f"{where} is too large for a {hint.__name__}") from None
-    if hint is float and not np.isfinite(result):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return result
+    return value
 
 
 def _fmt(value: float) -> str:

@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from .artifacts import encode
-from .errors import ConfigError, InsufficientBudgetError, as_int
+from .errors import ConfigError, InsufficientBudgetError, as_float, as_int
 from .grid import KernelParams
 from .mfmc import (
     AllocationPlan,
@@ -161,11 +161,13 @@ class CampaignConfig:
     version: int = _CONFIG_VERSION
 
     def __post_init__(self) -> None:
-        if self.version != _CONFIG_VERSION:
+        if as_int(self.version, "version") != _CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {self.version}")
-        for name in ("master_seed", "pilot_samples", "replicates", "validation_samples",
-                     "workers"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        for name, low in (("master_seed", None), ("pilot_samples", 2), ("replicates", 1),
+                          ("validation_samples", 1), ("workers", 1)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, low))
+        budgets = tuple(as_float(b, "budgets", positive=True) for b in self.budgets)
+        object.__setattr__(self, "budgets", budgets)
         if not self.models:
             raise ConfigError("campaign needs at least one model")
         ids = [m.model_id for m in self.models]
@@ -180,18 +182,6 @@ class CampaignConfig:
                 f"the family kernel must be untruncated (delta == delta_hf), got "
                 f"delta={self.kernel.delta} with delta_hf={self.kernel.delta_hf}"
             )
-        if self.pilot_samples < 2:
-            raise ConfigError(f"pilot_samples must be >= 2, got {self.pilot_samples}")
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if not all(0.0 < b < np.inf for b in self.budgets):
-            raise ConfigError(f"budgets must be positive and finite, got {self.budgets}")
-        if self.validation_samples < 1:
-            raise ConfigError(
-                f"validation_samples must be >= 1, got {self.validation_samples}"
-            )
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def model(self, model_id: int) -> ModelSpec:
         for m in self.models:
@@ -456,11 +446,12 @@ def build_plan(
 
 def run_estimate(engine: EvalEngine, plan: AllocationPlan, tag: str) -> EstimationResult:
     """Evaluate the models a plan asks for and combine them into an estimate."""
-    engine.prefetch([(m, tag, int(n)) for m, n in zip(plan.model_ids, plan.samples)])
+    counts = list(zip(plan.model_ids, plan.samples.tolist()))
+    engine.prefetch([(m, tag, n) for m, n in counts])
     values: dict[int, np.ndarray] = {}
     cost = 0.0
-    for j, model_id in enumerate(plan.model_ids):
-        vals, secs = engine.evaluate(model_id, tag, int(plan.samples[j]))
+    for model_id, n in counts:
+        vals, secs = engine.evaluate(model_id, tag, n)
         values[model_id] = vals
         cost += float(secs.sum())
     result = mfmc_estimate(plan, values)
@@ -499,10 +490,10 @@ def run_mse_study(
             points.append((case, budget, plan))
     tags = [replicate_stream(config.master_seed, rep).tag for rep in range(config.replicates)]
     engine.prefetch(
-        (model_id, tag, int(count))
+        (model_id, tag, count)
         for _, _, plan in points
         for tag in tags
-        for model_id, count in zip(plan.model_ids, plan.samples)
+        for model_id, count in zip(plan.model_ids, plan.samples.tolist())
     )
     rows: list[StudyRow] = []
     for case, budget, plan in points:
@@ -512,8 +503,8 @@ def run_mse_study(
             StudyRow(
                 case=case,
                 model_ids=plan.model_ids,
-                budget=float(budget),
-                samples=tuple(int(s) for s in plan.samples),
+                budget=budget,
+                samples=tuple(plan.samples.tolist()),
                 below_minimum=plan.below_minimum,
                 estimates=tuple(estimates),
                 empirical_mse=empirical_mse(estimates, reference),

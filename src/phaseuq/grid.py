@@ -20,13 +20,13 @@ with ``a = delta_hf / 3``.  All quadrature uses the uniform weight ``h**2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .errors import ConfigError, DegenerateStencilError
+from .errors import ConfigError, DegenerateStencilError, as_float, as_int
 
 __all__ = [
     "Grid",
@@ -68,17 +68,13 @@ class KernelParams:
     c_f: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps2 < math.inf:
-            raise ConfigError(f"eps2 must be positive and finite, got {self.eps2}")
-        if not 0.0 < self.delta_hf < math.inf:
-            raise ConfigError(f"delta_hf must be positive and finite, got {self.delta_hf}")
-        if not 0.0 < self.delta <= self.delta_hf * (1.0 + _CUTOFF_RTOL):
+        for name in ("eps2", "delta_hf", "delta", "c_f"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name, positive=True))
+        if self.delta > self.delta_hf * (1.0 + _CUTOFF_RTOL):
             raise ConfigError(
                 f"delta must satisfy 0 < delta <= delta_hf, got delta={self.delta} "
                 f"with delta_hf={self.delta_hf}"
             )
-        if not 0.0 < self.c_f < math.inf:
-            raise ConfigError(f"c_f must be positive and finite, got {self.c_f}")
 
     @property
     def shape_radius(self) -> float:
@@ -103,10 +99,8 @@ class Grid:
     pad: int
 
     def __post_init__(self) -> None:
-        if self.n_interior < 1:
-            raise ConfigError(f"n_interior must be >= 1, got {self.n_interior}")
-        if self.pad < 1:
-            raise ConfigError(f"pad must be >= 1, got {self.pad}")
+        for name in ("n_interior", "pad"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, low=1))
 
     @property
     def h(self) -> float:
@@ -146,13 +140,9 @@ def build_grid(n_interior: int, delta_hf: float) -> Grid:
     its full interaction disc inside the node set for any truncation radius
     ``delta <= delta_hf``.
     """
-    if n_interior < 1:
-        raise ConfigError(f"n_interior must be >= 1, got {n_interior}")
-    if not 0.0 < delta_hf < math.inf:
-        raise ConfigError(f"delta_hf must be positive and finite, got {delta_hf}")
-    h = 1.0 / n_interior
-    pad = math.ceil(delta_hf / h - _CUTOFF_RTOL)
-    return Grid(n_interior=n_interior, pad=max(pad, 1))
+    grid = Grid(n_interior=n_interior, pad=1)
+    pad = math.ceil(as_float(delta_hf, "delta_hf", positive=True) / grid.h - _CUTOFF_RTOL)
+    return replace(grid, pad=max(pad, 1))
 
 
 def kernel_value(r, params: KernelParams):

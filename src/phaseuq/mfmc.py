@@ -34,6 +34,8 @@ from .errors import (
     DegenerateStatisticsError,
     InfeasibleSubsetError,
     InsufficientBudgetError,
+    as_float,
+    as_int,
 )
 
 __all__ = [
@@ -90,7 +92,7 @@ class ModelStats:
     delta: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        ids = tuple(int(i) for i in self.ids)
+        ids = tuple(as_int(i, "model id", low=1) for i in self.ids)
         rho = np.array(self.rho, dtype=float)
         cost = np.array(self.cost, dtype=float)
         sigma = np.array(self.sigma, dtype=float)
@@ -99,8 +101,6 @@ class ModelStats:
             raise ConfigError("ModelStats needs at least one model")
         if len(set(ids)) != k:
             raise ConfigError(f"model ids must be unique, got {ids}")
-        if any(i < 1 for i in ids):
-            raise ConfigError(f"model ids must be positive, got {ids}")
         for name, arr in (("rho", rho), ("cost", cost), ("sigma", sigma)):
             if arr.shape != (k,):
                 raise ConfigError(f"{name} must have shape ({k},), got {arr.shape}")
@@ -201,11 +201,12 @@ class AllocationPlan:
         m = len(self.model_ids)
         alpha = np.array(self.alpha, dtype=float)
         ratios = np.array(self.ratios, dtype=float)
-        samples = np.array(self.samples, dtype=np.int64)
+        samples = np.array(self.samples, dtype=object)
         if alpha.shape != (max(m - 1, 0),):
             raise ConfigError(f"alpha must have shape ({m - 1},), got {alpha.shape}")
         if ratios.shape != (m,) or samples.shape != (m,):
             raise ConfigError("ratios and samples must have one entry per model")
+        samples = np.array([as_int(n, "sample count") for n in samples], dtype=np.int64)
         if samples[0] < 1:
             raise ConfigError(f"the high-fidelity model needs >= 1 sample, got {samples[0]}")
         if np.any(np.diff(samples) < 0):
@@ -262,7 +263,7 @@ def pilot_statistics(
         across the pilot samples.
     """
     values = np.asarray(values, dtype=float)
-    ids = tuple(int(i) for i in ids)
+    ids = tuple(as_int(i, "model id", low=1) for i in ids)
     if values.ndim != 2 or values.shape[0] != len(ids):
         raise ConfigError(
             f"values must have shape (n_models={len(ids)}, n_samples), got {values.shape}"
@@ -282,9 +283,9 @@ def pilot_statistics(
         raise DegenerateStatisticsError(
             f"model output is constant across pilot samples for ids {flat}"
         )
-    hf_row = ids.index(hf_id) if hf_id in ids else None
-    if hf_row is None:
+    if as_int(hf_id, "hf_id") not in ids:
         raise ConfigError(f"high-fidelity id {hf_id} not among {ids}")
+    hf_row = ids.index(hf_id)
     centered = values - values.mean(axis=1, keepdims=True)
     cov_hf = centered @ centered[hf_row] / (n - 1)
     rho = cov_hf / (sigma * sigma[hf_row])
@@ -319,7 +320,7 @@ def order_subset(stats: ModelStats, model_ids: Sequence[int]) -> tuple[int, ...]
 
     The subset must contain the high-fidelity model and no duplicates.
     """
-    ids = tuple(int(i) for i in model_ids)
+    ids = tuple(as_int(i, "model id", low=1) for i in model_ids)
     if len(set(ids)) != len(ids):
         raise ConfigError(f"subset has duplicate ids: {ids}")
     positions = [stats.index(i) for i in ids]
@@ -490,8 +491,7 @@ def allocate(stats: ModelStats, model_ids: Sequence[int], budget: float) -> Allo
     A non-finite budget, or one whose counts overflow an int64, is a
     :class:`ConfigError`.
     """
-    if not np.isfinite(budget):
-        raise ConfigError(f"budget must be finite, got {budget}")
+    budget = as_float(budget, "budget")
     subset = _derive(stats, model_ids)
     ordered, rho, cost, sigma, rho2, _ = subset
     r, b_min = subset.ratios, _candidate(subset).b_min
@@ -531,7 +531,7 @@ def allocate(stats: ModelStats, model_ids: Sequence[int], budget: float) -> Allo
         alpha=rho[1:] * sigma[0] / sigma[1:],
         ratios=ratios,
         samples=samples,
-        budget=float(budget),
+        budget=budget,
         predicted_cost=float(np.dot(cost, samples)),
         below_minimum=below_minimum,
     )
@@ -553,8 +553,7 @@ def estimator_variance(stats: ModelStats, plan: AllocationPlan) -> float:
 def theoretical_mse(stats: ModelStats, model_ids: Sequence[int], budget: float) -> float:
     """Mean-squared error of the estimator at its optimal real-valued
     allocation: ``sigma1^2 * V * c1 / budget``."""
-    if not 0.0 < budget < np.inf:
-        raise ConfigError(f"budget must be positive and finite, got {budget}")
+    budget = as_float(budget, "budget", positive=True)
     v = variance_reduction_ratio(stats, model_ids)
     return stats.sigma1**2 * v * stats.c1 / budget
 
@@ -573,15 +572,15 @@ def mfmc_estimate(
         if model_id not in values:
             raise ConfigError(f"missing evaluations for model {model_id}")
         vals = np.asarray(values[model_id], dtype=float)
-        need = int(plan.samples[j])
+        need = plan.samples[j]
         if vals.ndim != 1 or vals.size < need:
             raise ConfigError(
                 f"model {model_id} needs {need} evaluations, got {vals.shape}"
             )
         if j == 0:
-            terms[0] = vals[: plan.samples[0]].mean()
+            terms[0] = vals[:need].mean()
         else:
-            prev = int(plan.samples[j - 1])
+            prev = plan.samples[j - 1]
             terms[j] = plan.alpha[j - 1] * (vals[:need].mean() - vals[:prev].mean())
     return EstimationResult(value=float(terms.sum()), plan=plan, level_terms=terms)
 

@@ -52,10 +52,7 @@ class SampleStream:
 
     def theta(self, index: int) -> RandomInputs:
         """The random input at a given stream index (independent of batching)."""
-        index = as_int(index, "stream index")
-        if index < 0:
-            raise ConfigError(f"stream index must be >= 0, got {index}")
-        key = _stream_key(self.master_seed, self.tag, index)
+        key = _stream_key(self.master_seed, self.tag, as_int(index, "stream index", low=0))
         gen = np.random.Generator(np.random.Philox(key=key))
         draws = gen.random(12).reshape(4, 3)
         mu = DEPTH_RANGE[0] + (DEPTH_RANGE[1] - DEPTH_RANGE[0]) * draws[:, 0]
@@ -70,9 +67,7 @@ def pilot_stream(master_seed: int) -> SampleStream:
 
 def replicate_stream(master_seed: int, replicate: int) -> SampleStream:
     """Independent stream for one estimator replicate."""
-    replicate = as_int(replicate, "replicate index")
-    if replicate < 0:
-        raise ConfigError(f"replicate index must be >= 0, got {replicate}")
+    replicate = as_int(replicate, "replicate index", low=0)
     return SampleStream(master_seed, REPLICATE_TAG_FORMAT.format(replicate))
 
 

@@ -84,7 +84,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import lapack
 
-from .errors import ConfigError, ConvergenceError, as_int
+from .errors import ConfigError, ConvergenceError, as_float, as_int
 from .grid import ConvolutionStencil, Grid, KernelParams, cached_stencil, convolve
 
 __all__ = [
@@ -156,13 +156,8 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         for name in ("model_id", "n_interior"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.model_id < 1:
-            raise ConfigError(f"model_id must be >= 1, got {self.model_id}")
-        if self.n_interior < 1:
-            raise ConfigError(f"n_interior must be >= 1, got {self.n_interior}")
-        if not 0.0 < self.delta < np.inf:
-            raise ConfigError(f"delta must be positive and finite, got {self.delta}")
+            object.__setattr__(self, name, as_int(getattr(self, name), name, low=1))
+        object.__setattr__(self, "delta", as_float(self.delta, "delta", positive=True))
 
     @property
     def h(self) -> float:
@@ -205,30 +200,16 @@ class SimParams:
     interaction_fill: str = "initial"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "max_sweeps", as_int(self.max_sweeps, "max_sweeps"))
-        for name in ("beta1", "beta2", "dt", "t_final", "solver_tol", "active_set_c"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.beta1 < 0.0 or self.beta2 < 0.0 or self.beta1 + self.beta2 <= 0.0:
-            raise ConfigError(
-                f"beta1, beta2 must be non-negative and not both zero, "
-                f"got {self.beta1}, {self.beta2}"
-            )
-        if not self.dt > 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0.0:
-            raise ConfigError(f"t_final must be non-negative, got {self.t_final}")
-        steps = self.t_final / self.dt
+        object.__setattr__(self, "max_sweeps", as_int(self.max_sweeps, "max_sweeps", low=1))
+        for name, positive in (("beta1", False), ("beta2", False), ("dt", True),
+                               ("t_final", False), ("solver_tol", True), ("active_set_c", True)):
+            object.__setattr__(self, name, as_float(getattr(self, name), name, positive))
+        as_float(self.beta1 + self.beta2, "beta1 + beta2", positive=True)
+        steps = as_float(self.t_final / self.dt, "t_final / dt")
         if abs(steps - round(steps)) > 1e-6:
             raise ConfigError(
                 f"t_final={self.t_final} is not an integer multiple of dt={self.dt}"
             )
-        if not self.solver_tol > 0.0:
-            raise ConfigError(f"solver_tol must be positive, got {self.solver_tol}")
-        if self.max_sweeps < 1:
-            raise ConfigError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if not self.active_set_c > 0.0:
-            raise ConfigError(f"active_set_c must be positive, got {self.active_set_c}")
         if self.interaction_fill not in ("initial", "plus-one"):
             raise ConfigError(
                 f"interaction_fill must be 'initial' or 'plus-one', "

@@ -1,7 +1,9 @@
-"""Shared fixtures: the frozen nine-model statistics table and small configs."""
+"""Shared fixtures: the frozen nine-model statistics table, small configs, and
+the junk values that no number setting accepts."""
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -41,6 +43,25 @@ TABLE_H = np.array(
 TABLE_DELTA = np.array(
     [0.25, 0.1875, 0.1875, 0.25, 0.125, 0.125, 0.1875, 0.25, 0.125]
 )
+
+
+#: Not numbers (a bool included) or not finite: every int and float setting,
+#: id and index refuses these with a ConfigError.
+_JUNK = (True, np.bool_(True), "0.5", None, math.nan, math.inf, -math.inf)
+
+
+@pytest.fixture(scope="session")
+def junk_floats() -> tuple:
+    """Values that a real-valued setting refuses, an int too large for a float
+    among them."""
+    return (*_JUNK, 10**400)
+
+
+@pytest.fixture(scope="session")
+def junk_ints() -> tuple:
+    """Values that an integer setting, id or index refuses, integral floats
+    among them."""
+    return (*_JUNK, 2.5, 8.0)
 
 
 @pytest.fixture(scope="session")

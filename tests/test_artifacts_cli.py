@@ -5,6 +5,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -379,8 +380,14 @@ class TestRunId:
         assert a != run_id("pilot", other)
 
 
+def real(low, high):
+    """A float in ``[low, high]`` or an int there: a float setting built in
+    Python may hold an int, which must hash like its JSON form."""
+    return hst.floats(low, high) | hst.integers(math.ceil(low), math.floor(high))
+
+
 def positive(high=10.0):
-    return hst.floats(1e-6, high)
+    return real(1e-6, high)
 
 
 @hst.composite
@@ -405,8 +412,8 @@ def campaign_configs(draw):
             eps2=draw(positive()), delta_hf=delta_hf, delta=delta_hf, c_f=draw(positive())
         ),
         sim=SimParams(
-            beta1=draw(hst.floats(0.1, 10.0)),
-            beta2=draw(hst.floats(0.0, 10.0)),
+            beta1=draw(real(0.1, 10.0)),
+            beta2=draw(real(0.0, 10.0)),
             dt=dt,
             t_final=draw(hst.integers(0, 200)) * dt,
             solver_tol=draw(positive(1.0)),
@@ -442,6 +449,7 @@ class TestConfigJson:
         back = _config(json.loads(text))
         assert back == config
         assert back.to_json() == text
+        assert run_id("pilot", back) == run_id("pilot", config)
 
     def test_run_ids_pinned(self, micro_config):
         # run directories are named by a hash of the config JSON, so its
@@ -536,7 +544,7 @@ class TestConfigJson:
         data = dict(base, budgets=[5, 10])
         assert _config(data).budgets == (5.0, 10.0)
 
-    def test_semantic_validation(self, micro_config):
+    def test_semantic_validation(self, micro_config, junk_floats, junk_ints):
         with pytest.raises(ConfigError):
             replace(micro_config, models=())
         with pytest.raises(ConfigError):
@@ -551,12 +559,18 @@ class TestConfigJson:
         # the equal int, so the JSON form does not change
         for name in ("pilot_samples", "replicates", "validation_samples", "workers"):
             value = getattr(micro_config, name)
-            for bad in (float(value), value + 0.5, True):
+            for bad in (float(value), value + 0.5, True, *junk_ints):
                 with pytest.raises(ConfigError, match=f"{name} must be an int"):
                     replace(micro_config, **{name: bad})
             held = replace(micro_config, **{name: np.int64(value)})
             assert type(getattr(held, name)) is int
             assert held.to_json() == micro_config.to_json()
+        for bad in junk_floats:
+            with pytest.raises(ConfigError, match="budgets"):
+                replace(micro_config, budgets=(1.0, bad))
+        # integer budgets are held as floats, so the config hashes like its JSON form
+        held = replace(micro_config, budgets=(1, 2))
+        assert held.to_json() == replace(micro_config, budgets=(1.0, 2.0)).to_json()
 
     def test_master_seed_is_an_integer(self, micro_config):
         # a numpy integer is held as the equal int, so the JSON form and the

@@ -16,6 +16,7 @@ from oracles import naive_convolution, naive_kernel
 from phaseuq import (
     ConfigError,
     DegenerateStencilError,
+    Grid,
     KernelParams,
     build_grid,
     build_stencil,
@@ -68,7 +69,7 @@ class TestKernel:
         with pytest.raises(ConfigError):
             kernel_value(-0.1, DEFAULTS)
 
-    def test_invalid_params_rejected(self):
+    def test_invalid_params_rejected(self, junk_floats):
         with pytest.raises(ConfigError):
             KernelParams(eps2=0.0)
         with pytest.raises(ConfigError):
@@ -87,6 +88,10 @@ class TestKernel:
         ):
             with pytest.raises(ConfigError, match=next(iter(kwargs))):
                 KernelParams(**kwargs)
+        for name in ("eps2", "delta_hf", "delta", "c_f"):
+            for bad in junk_floats:
+                with pytest.raises(ConfigError, match=name):
+                    KernelParams(**{name: bad})
 
 
 class TestGrid:
@@ -116,13 +121,21 @@ class TestGrid:
         grid = build_grid(8, 0.25)
         assert grid.solution_mask().sum() == 9 * 9
 
-    def test_invalid_inputs(self):
+    def test_invalid_inputs(self, junk_floats, junk_ints):
         with pytest.raises(ConfigError):
             build_grid(0, 0.25)
         with pytest.raises(ConfigError):
             build_grid(8, 0.0)
         with pytest.raises(ConfigError, match="delta_hf must be positive and finite"):
             build_grid(16, math.inf)
+        for bad in junk_ints:
+            with pytest.raises(ConfigError, match="n_interior must be an int"):
+                build_grid(bad, 0.25)
+            with pytest.raises(ConfigError, match="pad must be an int"):
+                Grid(n_interior=8, pad=bad)
+        for bad in junk_floats:
+            with pytest.raises(ConfigError, match="delta_hf"):
+                build_grid(16, bad)
 
 
 class TestStencil:
@@ -182,8 +195,6 @@ class TestStencil:
             build_stencil(grid, KernelParams(delta=0.1))
 
     def test_pad_too_small_rejected(self):
-        from phaseuq import Grid
-
         grid = Grid(n_interior=16, pad=2)
         with pytest.raises(ConfigError):
             build_stencil(grid, DEFAULTS)

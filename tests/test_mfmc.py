@@ -54,7 +54,7 @@ def random_stats(rng, k):
 
 
 class TestModelStats:
-    def test_validation(self):
+    def test_validation(self, junk_ints):
         with pytest.raises(ConfigError):
             make_stats([0.9, 0.8], [1, 0.1], [1, 1])  # no correlation-1 row
         with pytest.raises(ConfigError):
@@ -75,6 +75,13 @@ class TestModelStats:
         ):
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
                 make_stats(rho, cost, sigma)
+        # an id is an int: a float or a bool is not truncated into one
+        values = np.array([[0.5, 0.25, 0.75], [0.4, 0.2, 0.9]])
+        for bad in (0, -1, 2.7, *junk_ints):
+            with pytest.raises(ConfigError, match="model id must be"):
+                make_stats([1.0, 0.9], [1, 0.1], [1, 1], ids=(1, bad))
+            with pytest.raises(ConfigError, match="model id must be"):
+                pilot_statistics((1, bad), values, np.ones((2, 3)))
 
     def test_hf_detection(self, table_stats):
         assert table_stats.hf_id == 1
@@ -168,7 +175,7 @@ class TestOrdering:
         )
         assert order_subset(stats, stats.ids) == (1, 3, 2, 5)
 
-    def test_order_subset(self, table_stats):
+    def test_order_subset(self, table_stats, junk_ints):
         assert order_subset(table_stats, (9, 1, 3)) == (1, 3, 9)
         with pytest.raises(ConfigError):
             order_subset(table_stats, (3, 9))  # missing high-fidelity model
@@ -176,6 +183,9 @@ class TestOrdering:
             order_subset(table_stats, (1, 3, 3))
         with pytest.raises(ConfigError):
             order_subset(table_stats, (1, 42))
+        for bad in (2.9, *junk_ints):
+            with pytest.raises(ConfigError, match="model id must be an int"):
+                order_subset(table_stats, (1, bad))
 
 
 class TestFeasibility:
@@ -428,7 +438,7 @@ class TestErrorMeasures:
         with pytest.raises(ConfigError):
             empirical_mse([1.0], 1.0)
 
-    def test_budget_validation(self, table_stats):
+    def test_budget_validation(self, table_stats, junk_floats):
         with pytest.raises(ConfigError):
             theoretical_mse(table_stats, (1, 9), 0.0)
         with pytest.raises(ConfigError):
@@ -447,6 +457,11 @@ class TestErrorMeasures:
             for allow in (True, False):
                 with pytest.raises(ConfigError, match="budget must be finite"):
                     build_plan(table_stats, candidate, budget, allow_below_minimum=allow)
+        for budget in junk_floats:
+            with pytest.raises(ConfigError, match="budget"):
+                allocate(table_stats, (1, 9), budget)
+            with pytest.raises(ConfigError, match="budget"):
+                theoretical_mse(table_stats, (1, 9), budget)
 
 
 class TestEstimate:
@@ -516,7 +531,7 @@ class TestEstimate:
 
 
 class TestPlanValidation:
-    def test_invariants_enforced(self):
+    def test_invariants_enforced(self, junk_ints):
         with pytest.raises(ConfigError):
             AllocationPlan(
                 model_ids=(1, 2),
@@ -547,6 +562,18 @@ class TestPlanValidation:
                 predicted_cost=20.0,  # over budget
                 below_minimum=False,
             )
+        # a count is an int: a float or a bool is not truncated into one
+        for samples in ([3.7, 414.2], [True, 4], *([3, bad] for bad in junk_ints)):
+            with pytest.raises(ConfigError, match="sample count must be an int"):
+                AllocationPlan(
+                    model_ids=(1, 2),
+                    alpha=np.array([1.0]),
+                    ratios=np.array([1.0, 2.0]),
+                    samples=samples,
+                    budget=10.0,
+                    predicted_cost=8.0,
+                    below_minimum=False,
+                )
 
 
 @hst.composite

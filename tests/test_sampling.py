@@ -44,23 +44,23 @@ class TestDeterminism:
             with pytest.raises(ConfigError, match="master_seed must be an int"):
                 SampleStream(seed, "pilot")
 
-    def test_stream_index_is_an_integer(self):
+    def test_stream_index_is_an_integer(self, junk_ints):
         # A numpy integer index is the draw of the equal Python int; a bool or
         # a float is not an index.
         stream = pilot_stream(1)
         np.testing.assert_array_equal(
             stream.theta(np.int64(3)).to_flat(), stream.theta(3).to_flat()
         )
-        for index in (True, np.bool_(False), 3.0, np.float64(1.0), "3"):
+        for index in (True, np.bool_(False), 3.0, np.float64(1.0), "3", *junk_ints):
             with pytest.raises(ConfigError, match="stream index must be an int"):
                 stream.theta(index)
 
-    def test_replicate_index_is_an_integer(self):
+    def test_replicate_index_is_an_integer(self, junk_ints):
         # A numpy integer replicate is the stream of the equal Python int; a
         # bool is not replicate 1 and a float does not reach the tag format.
         assert replicate_stream(1, np.int64(2)) == replicate_stream(1, 2)
         assert replicate_stream(1, 2).tag == "estimate:2"
-        for replicate in (True, np.bool_(False), 2.0, np.float64(1.0), "2"):
+        for replicate in (True, np.bool_(False), 2.0, np.float64(1.0), "2", *junk_ints):
             with pytest.raises(ConfigError, match="replicate index must be an int"):
                 replicate_stream(1, replicate)
         with pytest.raises(ConfigError, match="replicate index must be >= 0"):

@@ -61,7 +61,7 @@ def pure_state(grid, value: float) -> StepState:
 
 
 class TestParams:
-    def test_model_spec_validation(self):
+    def test_model_spec_validation(self, junk_floats, junk_ints):
         with pytest.raises(ConfigError):
             ModelSpec(model_id=0, n_interior=8, delta=0.25)
         with pytest.raises(ConfigError):
@@ -69,32 +69,48 @@ class TestParams:
         for delta in (0.0, float("inf"), float("nan")):
             with pytest.raises(ConfigError, match="delta must be positive and finite"):
                 ModelSpec(model_id=1, n_interior=8, delta=delta)
+        for delta in junk_floats:
+            with pytest.raises(ConfigError, match="delta"):
+                ModelSpec(model_id=1, n_interior=8, delta=delta)
         assert ModelSpec(model_id=1, n_interior=8, delta=0.25).h == 0.125
+        # an integer radius is held as the equal float, as its JSON form reads back
+        assert type(ModelSpec(model_id=1, n_interior=8, delta=1).delta) is float
         # integer fields: a numpy integer is held as the equal int
         spec = ModelSpec(model_id=np.int64(2), n_interior=np.int32(8), delta=0.25)
         assert spec == ModelSpec(model_id=2, n_interior=8, delta=0.25)
         assert type(spec.model_id) is int and type(spec.n_interior) is int
+        junk = [{name: bad} for name in ("model_id", "n_interior") for bad in junk_ints]
         for changes in ({"n_interior": 8.5}, {"n_interior": 8.0}, {"model_id": True},
-                        {"model_id": np.bool_(True)}, {"model_id": "2"}):
+                        {"model_id": np.bool_(True)}, {"model_id": "2"}, *junk):
             name = next(iter(changes))
             with pytest.raises(ConfigError, match=f"{name} must be an int"):
                 ModelSpec(**{"model_id": 2, "n_interior": 8, "delta": 0.25, **changes})
 
-    def test_sim_params_validation(self):
+    def test_sim_params_validation(self, junk_floats, junk_ints):
         with pytest.raises(ConfigError):
             SimParams(dt=0.0)
         with pytest.raises(ConfigError):
             SimParams(beta1=0.0, beta2=0.0)
         with pytest.raises(ConfigError):
             SimParams(t_final=0.05, dt=0.02)  # not an integer multiple
+        with pytest.raises(ConfigError, match="t_final / dt must be finite"):
+            SimParams(t_final=1e300, dt=1e-300)  # too many steps for a float
         with pytest.raises(ConfigError):
             SimParams(interaction_fill="bogus")
         with pytest.raises(ConfigError):
             SimParams(max_sweeps=0)
-        for max_sweeps in (2.5, 3.0, True, "3"):
+        for max_sweeps in (2.5, 3.0, True, "3", *junk_ints):
             with pytest.raises(ConfigError, match="max_sweeps must be an int"):
                 SimParams(max_sweeps=max_sweeps)
         assert type(SimParams(max_sweeps=np.int64(3)).max_sweeps) is int
+        reals = ("beta1", "beta2", "dt", "t_final", "solver_tol", "active_set_c")
+        for name in reals:
+            for bad in junk_floats:
+                with pytest.raises(ConfigError, match=name):
+                    SimParams(**{name: bad})
+        # integer values are held as the equal floats, as their JSON form reads back
+        held = SimParams(beta1=1, beta2=0, dt=1, t_final=2, solver_tol=1, active_set_c=2)
+        assert all(type(getattr(held, name)) is float for name in reals)
         assert SimParams(t_final=0.1, dt=0.01).n_steps == 10
         assert SimParams(t_final=0.0).n_steps == 0
 
