@@ -206,7 +206,10 @@ class AllocationPlan:
             raise ConfigError(f"alpha must have shape ({m - 1},), got {alpha.shape}")
         if ratios.shape != (m,) or samples.shape != (m,):
             raise ConfigError("ratios and samples must have one entry per model")
-        samples = np.array([as_int(n, "sample count") for n in samples], dtype=np.int64)
+        try:
+            samples = np.array([as_int(n, "sample count") for n in samples], dtype=np.int64)
+        except OverflowError:
+            raise ConfigError(f"sample counts must fit an int64, got {list(samples)}") from None
         if samples[0] < 1:
             raise ConfigError(f"the high-fidelity model needs >= 1 sample, got {samples[0]}")
         if np.any(np.diff(samples) < 0):
@@ -488,10 +491,10 @@ def allocate(stats: ModelStats, model_ids: Sequence[int], budget: float) -> Allo
 
     A one-model subset is plain Monte Carlo: its minimum budget is ``c1``, it
     has no staircase, and it buys ``floor(budget / c1)`` samples, at least one.
-    A non-finite budget, or one whose counts overflow an int64, is a
-    :class:`ConfigError`.
+    A budget that is not positive and finite, or one whose counts overflow an
+    int64, is a :class:`ConfigError`.
     """
-    budget = as_float(budget, "budget")
+    budget = as_float(budget, "budget", positive=True)
     subset = _derive(stats, model_ids)
     ordered, rho, cost, sigma, rho2, _ = subset
     r, b_min = subset.ratios, _candidate(subset).b_min

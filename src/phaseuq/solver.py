@@ -53,9 +53,28 @@ proposes the next sets, and its residual is never formed.  Only the sweep
 that reproduces its own sets forms ``r = r(u, lam)``; when ``max |r|`` misses
 ``solver_tol`` (or is NaN) it refines ``x`` once by a second solve from
 ``r`` and tests the refined ``u`` and ``lam`` again, going on with the new
-sets if they changed.  The step is accepted when that ``max |r|`` is within
-``solver_tol``, so a sweep makes one product by ``B`` and the accepting
-sweep one more.
+sets if they changed and forming the refined residual only if they did not.
+The step is accepted when that ``max |r|`` is within ``solver_tol``, so a
+sweep makes one product by ``B`` and the accepting sweep one more.  The
+active sets are one ``int8`` sign per node (``+1`` on the upper bound, ``-1``
+on the lower, ``0`` free), and a sweep compares its tested signs with its
+own as bytes, once per solve.
+
+A step runs in the red-black order from start to end: it gathers ``u_prev``,
+``g``, ``rhs0`` and the sets into ``plan.order`` once, every sweep works on
+red-black vectors, masks and factorizations, and the step scatters ``u``,
+``lam`` and the sets back to the natural order once at the end.  The one
+cached ``B`` is in that order too: its rows are permuted, and each row keeps
+its entries in the natural column order, so every product by it adds the
+same terms in the same order as the natural ``B`` and gives the same bits.
+Every sparse product of a step (``B``, the couplings and ``t_map``) goes
+through :func:`_matvec`, which calls scipy's CSR kernel
+``scipy.sparse._sparsetools.csr_matvec`` directly.  That is the kernel ``@``
+calls, so the products are bit-identical, and skipping ``@``'s dispatch
+roughly halves their cost on the small grids.  It is a private scipy entry
+point and a maintenance risk: a scipy release may move or change it, and
+``tests/test_solver.py`` compares :func:`_matvec` with ``@`` bit for bit on
+every matrix a step multiplies by.
 
 A one-entry cache keyed by the operators and the active set carries the last
 factorization to the next call: a step starts from the active sets its
@@ -83,6 +102,7 @@ import scipy.sparse as sp
 # ``bench/run.py --trace 1`` fails without the attribute.
 import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
 from .errors import ConfigError, ConvergenceError, as_float, as_int
 from .grid import ConvolutionStencil, Grid, KernelParams, cached_stencil, convolve
@@ -448,13 +468,31 @@ def _red_black_plan(n_solution: int, lower1: np.ndarray, lower_k: np.ndarray) ->
     )
 
 
+def _matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a float CSR matrix and vector, bit for bit, through the
+    kernel that ``@`` itself calls, without its dispatch.
+
+    ``scipy.sparse._sparsetools.csr_matvec`` is a private scipy entry point
+    (see the module docstring); this is the one place that reaches it.
+    """
+    rows, columns = a.shape
+    y = np.zeros(rows)
+    _sparsetools.csr_matvec(rows, columns, a.indptr, a.indices, a.data, x, y)
+    return y
+
+
 @lru_cache(maxsize=32)
 def _step_matrices(
     n_solution: int, h: float, xi: float, beta1: float, beta2: float, dt: float
 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, _RedBlackPlan]:
     """Cached ``B`` on the solution block, the diagonals of ``A`` and ``B``,
-    and the :class:`_RedBlackPlan` of its sweep matrices; checks first that
-    the step is well posed."""
+    all in the red-black order, and the :class:`_RedBlackPlan` of its sweep
+    matrices; checks first that the step is well posed.
+
+    Each row of the red-black ``B`` keeps its entries in the natural column
+    order, so a product by it sums each entry in the same order as the
+    natural ``B`` does, and gives the same bits in the red-black order.
+    """
     check_well_posed(
         f"the n_interior={n_solution - 1} model with xi={xi:.4g}",
         n_solution, h, xi, beta1, beta2, dt,
@@ -464,13 +502,17 @@ def _step_matrices(
     lap = (sp.kron(eye, t1) + sp.kron(t1, eye)).tocsr() / h**2
     b_mat = beta1 * sp.identity(n_solution**2, format="csr") - beta2 * lap
     plan = _red_black_plan(n_solution, b_mat.diagonal(-1), b_mat.diagonal(-n_solution))
-    b_diagonal = b_mat.diagonal(0)
+    b_diagonal = b_mat.diagonal()[plan.order]
+    rows = b_mat[plan.order]
+    b_mat = sp.csr_matrix((rows.data, plan.position[rows.indices], rows.indptr), b_mat.shape)
     return b_mat, xi * b_diagonal + 1.0 / dt, b_diagonal, plan
 
 
 class _RedBlack:
     """The sweep matrix ``M``, whose diagonal is ``diagonal`` and whose other
-    entries are those of ``B E``, with its red nodes eliminated exactly.
+    entries are those of ``B E``, with its red nodes eliminated exactly; the
+    diagonal, the free mask and the vectors ``solve`` takes and returns are
+    in the red-black order of ``plan``.
 
     ``M``'s red-red block is its diagonal ``M_R``, so red unknowns are
     ``x_R = M_R^-1 (f_R - C_RK E_K x_K)`` and the black ones solve the Schur
@@ -483,13 +525,12 @@ class _RedBlack:
     """
 
     def __init__(self, plan: _RedBlackPlan, diagonal, free, xi):
-        diagonal, free, n_red = diagonal[plan.order], free[plan.order], plan.n_red
-        e = np.where(free, xi, 1.0)
+        e, n_red = np.where(free, xi, 1.0), plan.n_red
         self.plan, self.xi = plan, xi
         self.red_diagonal = diagonal[:n_red]
         self.v = e[:n_red] / self.red_diagonal
         self.e_black = e[n_red:]
-        self._factor(diagonal[n_red:], plan.t_map @ self.v)
+        self._factor(diagonal[n_red:], _matvec(plan.t_map, self.v))
 
     @property
     def pivots(self) -> np.ndarray:
@@ -498,11 +539,10 @@ class _RedBlack:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         plan = self.plan
-        f = rhs[plan.order]
-        f_red, f_black = f[: plan.n_red], f[plan.n_red :]
-        x_black = self._solve_black(f_black - plan.c_kr @ (self.v * f_red))
-        x_red = (f_red - plan.c_rk @ (self.e_black * x_black)) / self.red_diagonal
-        return np.concatenate([x_red, x_black])[plan.position]
+        f_red, f_black = rhs[: plan.n_red], rhs[plan.n_red :]
+        x_black = self._solve_black(f_black - _matvec(plan.c_kr, self.v * f_red))
+        x_red = (f_red - _matvec(plan.c_rk, self.e_black * x_black)) / self.red_diagonal
+        return np.concatenate([x_red, x_black])
 
 
 class _BandLU(_RedBlack):
@@ -591,7 +631,7 @@ def _sweep_factorization(
 ) -> _BandCholesky | _BandLU:
     """The factorization of one sweep's matrix, for the operators of
     :func:`_step_matrices` with the same arguments and the active set given
-    as the bytes of a boolean mask.
+    as the bytes of a boolean mask in the red-black order.
 
     One entry only: callers keep many states, and an n=128 factorization is
     about 9 MB.  It is what the first sweep of each step reuses, since a step
@@ -617,50 +657,37 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
     if stencil.grid != grid:
         raise ConfigError("stencil was built for a different grid")
     key = (grid.n_solution, grid.h, stencil.xi, sim.beta1, sim.beta2, sim.dt)
-    b_mat = _step_matrices(*key)[0]
+    b_mat, _, _, plan = _step_matrices(*key)
+    order, xi, dt, c = plan.order, stencil.xi, sim.dt, sim.active_set_c
     sol = grid.solution_slice
     g = convolve(stencil, state.padded).ravel()
-    u_prev = state.padded[sol, sol].ravel()
-    rhs0 = u_prev / sim.dt + b_mat @ g
-
-    def residual(u, lam):  # rhs0 - A u - B lam, with one product by B
-        return rhs0 - u / sim.dt - b_mat @ (stencil.xi * u + lam)
-
-    def sign_test(u, lam):
-        c = sim.active_set_c
-        return (lam + c * (u - 1.0) > _ACTIVATION_TOL,
-                lam + c * (u + 1.0) < -_ACTIVATION_TOL)
-
-    def repeats(new_pos, new_neg):
-        return np.array_equal(new_pos, active_pos) and np.array_equal(new_neg, active_neg)
-
-    active_pos = state.active_pos.copy()
-    active_neg = state.active_neg.copy()
-    u = u_prev
-    lam = state.multiplier
-    sweeps = 0
+    # From here to the end of the sweeps every vector is in the red-black order.
+    rhs0 = state.padded[sol, sol].ravel()[order] / dt + _matvec(b_mat, g[order])
+    # The active sets as one sign per node: +1 on the upper bound, -1 on the lower.
+    signs = np.subtract(state.active_pos, state.active_neg, dtype=np.int8)[order]
     for sweeps in range(1, sim.max_sweeps + 1):
-        active = active_pos | active_neg
-        free = ~active
-        pinned = np.subtract(active_pos, active_neg, dtype=float)
+        active = signs != 0
+        pinned = signs.astype(float)
         lu = _sweep_factorization(*key, active.tobytes())
-        x = lu.solve(residual(pinned, 0.0))
-        u = np.where(free, x, pinned)
-        lam = np.where(active, x, 0.0)
-        new_pos, new_neg = sign_test(u, lam)
-        if repeats(new_pos, new_neg):
-            r = residual(u, lam)
-            if not np.abs(r).max() <= sim.solver_tol:  # also refines a NaN residual
-                x += lu.solve(r)
-                u = np.where(free, x, pinned)
-                lam = np.where(active, x, 0.0)
-                r = residual(u, lam)
-                new_pos, new_neg = sign_test(u, lam)
-            if repeats(new_pos, new_neg):
+        # Each residual is r(u, lam) = rhs0 - A u - B lam, with one product by B.
+        x = lu.solve(rhs0 - pinned / dt - _matvec(b_mat, xi * pinned))
+        for refined in (False, True):
+            u = np.where(active, pinned, x)
+            lam = np.where(active, x, 0.0)
+            tested = np.subtract(lam + c * (u - 1.0) > _ACTIVATION_TOL,
+                                 lam + c * (u + 1.0) < -_ACTIVATION_TOL, dtype=np.int8)
+            repeated = tested.tobytes() == signs.tobytes()
+            if not repeated:
                 break
-        active_pos, active_neg = new_pos, new_neg
+            r = rhs0 - u / dt - _matvec(b_mat, xi * u + lam)
+            if refined or np.abs(r).max() <= sim.solver_tol:  # a NaN residual refines
+                break
+            x += lu.solve(r)
+        if repeated:
+            break
+        signs = tested
     else:
-        max_residual = float(np.abs(residual(u, lam)).max())
+        max_residual = float(np.abs(rhs0 - u / dt - _matvec(b_mat, xi * u + lam)).max())
         raise ConvergenceError(
             f"active sets did not stabilize in {sim.max_sweeps} sweeps at "
             f"t={state.t + sim.dt:.6g} (last residual {max_residual:.3e})"
@@ -673,16 +700,17 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
             f"at t={state.t + sim.dt:.6g}"
         )
 
+    position = plan.position
+    u, lam, signs = u[position], lam[position], signs[position]
     padded = state.padded.copy()
     padded[sol, sol] = u.reshape(grid.n_solution, grid.n_solution)
-    w = stencil.xi * u - g + lam
     return StepState(
         grid=grid,
         padded=padded,
-        chemical_potential=w,
+        chemical_potential=xi * u - g + lam,
         multiplier=lam,
-        active_pos=active_pos,
-        active_neg=active_neg,
+        active_pos=signs > 0,
+        active_neg=signs < 0,
         t=state.t + sim.dt,
         sweeps=sweeps,
         residual=max_residual,

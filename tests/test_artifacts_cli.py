@@ -936,9 +936,11 @@ class TestCliExitCodes:
         pair = _write(tmp_path / "pair.csv", _GOOD_STATS + "2,,,0.9,0.01,0.25\n")
         for path, subset in ((stats, "ids:1"), (pair, "ids:1+2")):
             estimate = ["estimate", "--stats", str(path), "--subset", subset, "--out", absent]
-            for budget in ("inf", "nan", "-inf"):
+            # a budget that is not positive and finite is a bad one, not an
+            # insufficient one
+            for budget in ("inf", "nan", "-inf", "0", "-5"):
                 assert main(estimate + [f"--budget={budget}"]) == 2
-                assert "budget must be finite" in capsys.readouterr().err
+                assert "budget must be positive and finite" in capsys.readouterr().err
             # a count that an int64 cannot hold is refused, naming the budget
             assert main(estimate + ["--budget", "1e30"]) == 2
             assert "budget 1e+30 s asks for" in capsys.readouterr().err

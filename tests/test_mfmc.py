@@ -452,11 +452,15 @@ class TestErrorMeasures:
         candidate = resolve_case(table_stats, "ids:1+9")
         with pytest.raises(InsufficientBudgetError, match="below the minimum budget"):
             build_plan(table_stats, candidate, 5.0, allow_below_minimum=False)
-        # a non-finite budget is a ConfigError, whether or not refused below b_min
-        for budget in (np.nan, np.inf, -np.inf):
+        # a budget that is not positive and finite is a ConfigError, whether
+        # or not refused below b_min, as it is in theoretical_mse
+        for budget in (np.nan, np.inf, -np.inf, 0.0, -5.0):
             for allow in (True, False):
-                with pytest.raises(ConfigError, match="budget must be finite"):
+                with pytest.raises(ConfigError, match="budget must be positive and finite"):
                     build_plan(table_stats, candidate, budget, allow_below_minimum=allow)
+            for subset in ((1,), (1, 2), (1, 9)):
+                with pytest.raises(ConfigError, match="budget must be positive and finite"):
+                    allocate(table_stats, subset, budget)
         for budget in junk_floats:
             with pytest.raises(ConfigError, match="budget"):
                 allocate(table_stats, (1, 9), budget)
@@ -562,6 +566,11 @@ class TestPlanValidation:
                 predicted_cost=20.0,  # over budget
                 below_minimum=False,
             )
+        # a count beyond int64 is refused, not overflowed
+        with pytest.raises(ConfigError, match="sample counts must fit an int64"):
+            AllocationPlan(model_ids=(1, 2), alpha=[0.5], ratios=[1.0, 2.0],
+                           samples=[3, 10**30], budget=1.0, predicted_cost=0.5,
+                           below_minimum=False)
         # a count is an int: a float or a bool is not truncated into one
         for samples in ([3.7, 414.2], [True, 4], *([3, bad] for bad in junk_ints)):
             with pytest.raises(ConfigError, match="sample count must be an int"):

@@ -523,7 +523,7 @@ def assert_same_step(a, b):
 class CountedFactor:
     """Forwards ``solve`` to a factorization and counts the calls in
     ``counts``; the solve numbered ``counts["miss_at"]`` (from 0) is off by
-    ``counts["miss"]`` in one entry."""
+    ``counts["miss"]`` at the middle node of the natural order."""
 
     def __init__(self, factor, counts):
         self.factor, self.counts = factor, counts
@@ -531,31 +531,31 @@ class CountedFactor:
     def solve(self, rhs):
         x = self.factor.solve(rhs)
         if self.counts["solves"] == self.counts["miss_at"]:
-            x[x.size // 2] += self.counts["miss"]
+            x[self.factor.plan.position[x.size // 2]] += self.counts["miss"]
         self.counts["solves"] += 1
         return x
-
-
-class CountedB:
-    """Forwards products to ``B`` and counts them in ``counts``."""
-
-    def __init__(self, b_mat, counts):
-        self.b_mat, self.counts = b_mat, counts
-
-    def __matmul__(self, other):
-        self.counts["b_products"] += 1
-        return self.b_mat @ other
 
 
 class TestSolveCount:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"solves": 0, "b_products": 0, "miss": 0.0, "miss_at": 0}
-        factorize, step_matrices = solver._factorize, solver._step_matrices
+        factorize, matvec = solver._factorize, solver._matvec
+        step_matrices, b_ids = solver._step_matrices, set()
+
+        def recorded_step_matrices(*args):
+            operators = step_matrices(*args)
+            b_ids.add(id(operators[0]))
+            return operators
+
+        def counted_matvec(a, x):
+            counts["b_products"] += id(a) in b_ids
+            return matvec(a, x)
+
         monkeypatch.setattr(solver, "_factorize",
                             lambda *args: CountedFactor(factorize(*args), counts))
-        monkeypatch.setattr(solver, "_step_matrices", lambda *args: (
-            CountedB(step_matrices(*args)[0], counts), *step_matrices(*args)[1:]))
+        monkeypatch.setattr(solver, "_step_matrices", recorded_step_matrices)
+        monkeypatch.setattr(solver, "_matvec", counted_matvec)
         solver._sweep_factorization.cache_clear()
         yield counts
         solver._sweep_factorization.cache_clear()
@@ -644,11 +644,22 @@ def sweep_key(case):
     return (OPERATOR_CASES | CHOLESKY_CASES)[case]
 
 
+def natural_b(key):
+    """The solver's ``B`` of ``key``, permuted back from the red-black order."""
+    b_mat, _, _, plan = solver._step_matrices(*key)
+    return b_mat[plan.position][:, plan.position]
+
+
+def red_black(key, vector):
+    """``vector`` over the solution block gathered into the red-black order."""
+    return vector[solver._step_matrices(*key)[3].order]
+
+
 def sweep_matrix(key, free):
     """The sweep matrix ``A P_F + B P_A`` of the nodes ``free``, dense, with
     ``A = I / dt + xi B`` assembled from the solver's ``B``."""
     n_solution, h, xi, beta1, beta2, dt = key
-    b_dense = solver._step_matrices(*key)[0].toarray()
+    b_dense = natural_b(key).toarray()
     a_dense = np.eye(n_solution**2) / dt + xi * b_dense
     return a_dense * free + b_dense * ~free
 
@@ -656,7 +667,7 @@ def sweep_matrix(key, free):
 def sparse_sweep_matrix(key, free):
     """:func:`sweep_matrix` in CSR form."""
     n_solution, h, xi, beta1, beta2, dt = key
-    b_mat = solver._step_matrices(*key)[0]
+    b_mat = natural_b(key)
     a_mat = sp.identity(n_solution**2) / dt + xi * b_mat
     return (a_mat @ sp.diags(free * 1.0) + b_mat @ sp.diags(~free * 1.0)).tocsr()
 
@@ -723,10 +734,10 @@ class RecordingLapack:
 
 
 def sweep_factors(key, free):
-    """Every factorization the sweep matrix of ``free`` gets through
-    :func:`solver._sweep_factorization`, by type, with the bands LAPACK was
-    given for it: the one the solver chooses, and band LU, the one it would
-    choose if band Cholesky were not there."""
+    """Every factorization the sweep matrix of the nodes ``free`` (in the
+    natural order) gets through :func:`solver._sweep_factorization`, by type,
+    with the bands LAPACK was given for it: the one the solver chooses, and
+    band LU, the one it would choose if band Cholesky were not there."""
     factors = {}
     with pytest.MonkeyPatch.context() as patch:
         for as_band_lu in (False, True):
@@ -735,7 +746,7 @@ def sweep_factors(key, free):
             recorder = RecordingLapack()
             patch.setattr(solver, "lapack", recorder)
             solver._sweep_factorization.cache_clear()
-            factor = solver._sweep_factorization(*key, (~free).tobytes())
+            factor = solver._sweep_factorization(*key, red_black(key, ~free).tobytes())
             factors[type(factor)] = factor, recorder.bands
     solver._sweep_factorization.cache_clear()
     return factors
@@ -779,10 +790,12 @@ class TestMaskedAssembly:
         # B, the operator of every residual, is exactly the sum of its five
         # diagonals, so its red-red and black-black blocks are diagonal, and
         # it matches the node-by-node assembly of the oracle.
+        # Permuted back to the natural order, the red-black B's rows hold
+        # their entries in the natural column order.
         n_solution, h, xi, beta1, beta2, dt = key = OPERATOR_CASES[case]
-        b_mat, _, diagonal, _ = solver._step_matrices(*key)
+        b_mat, diagonal = natural_b(key), natural_b(key).diagonal()
         assert b_mat.format == "csr" and b_mat.has_sorted_indices
-        np.testing.assert_array_equal(diagonal, b_mat.diagonal())
+        np.testing.assert_array_equal(solver._step_matrices(*key)[2], red_black(key, diagonal))
         lower1, lower_k = b_mat.diagonal(-1), b_mat.diagonal(-n_solution)
         offsets = [-n_solution, -1, 0, 1, n_solution]
         rebuilt = sp.diags([lower_k, lower1, diagonal, lower1, lower_k], offsets)
@@ -834,7 +847,7 @@ class TestRedBlackPlan:
     @pytest.mark.parametrize("case", sorted(KEYS))
     def test_couplings_are_the_off_diagonals_of_b(self, case):
         n_solution = self.KEYS[case][0]
-        b_mat, _, _, plan = solver._step_matrices(*self.KEYS[case])
+        plan, b_mat = solver._step_matrices(*self.KEYS[case])[3], natural_b(self.KEYS[case])
         red, black = checkerboard(n_solution)
         np.testing.assert_array_equal(plan.order, np.concatenate([red, black]))
         np.testing.assert_array_equal(plan.order[plan.position], np.arange(n_solution**2))
@@ -844,6 +857,36 @@ class TestRedBlackPlan:
         for colour in (red, black):
             block = b_mat[colour][:, colour]
             assert sp.triu(block, 1).count_nonzero() == sp.tril(block, -1).count_nonzero() == 0
+
+
+class TestDirectProducts:
+    """:func:`solver._matvec` reaches scipy's private CSR kernel; a scipy
+    release that changes it must fail here."""
+
+    KEYS = {"desk": OPERATOR_CASES["desk"], "desk-n32": OPERATOR_CASES["desk-n32"],
+            "reference-n64": CHOLESKY_CASES["reference-n64"], "even-n66": EVEN_KEY}
+
+    @pytest.mark.parametrize("case", sorted(KEYS))
+    def test_matches_matmul_bit_for_bit(self, case):
+        # Every matrix a step multiplies by: B, the couplings and t_map.
+        b_mat, _, _, plan = solver._step_matrices(*self.KEYS[case])
+        rng = np.random.default_rng(31)
+        for matrix in (b_mat, plan.c_kr, plan.c_rk, plan.t_map):
+            x = rng.standard_normal(matrix.shape[1]) * 10.0 ** rng.integers(-8, 8, matrix.shape[1])
+            y = solver._matvec(matrix, x)
+            assert y.dtype == np.float64 and y.shape == (matrix.shape[0],)
+            assert np.array_equal(y, matrix @ x)
+
+    @pytest.mark.parametrize("case", sorted(KEYS))
+    def test_red_black_b_sums_in_the_natural_order(self, case):
+        # A product by the red-black B is the natural product gathered into
+        # the red-black order, bit for bit, against an independent natural B.
+        key = self.KEYS[case]
+        b_mat, _, _, plan = solver._step_matrices(*key)
+        natural = sp.csr_matrix(natural_b(key).toarray())
+        assert natural.has_sorted_indices
+        x = np.random.default_rng(37).standard_normal(b_mat.shape[1])
+        assert np.array_equal(solver._matvec(b_mat, x[plan.order]), (natural @ x)[plan.order])
 
 
 class TestFactorizationBackends:
@@ -861,8 +904,9 @@ class TestFactorizationBackends:
             if singular:
                 m_dense += regularization_shift(key) * np.eye(n_solution**2)
             x_sparse = spla.splu(sp.csc_matrix(m_dense)).solve(rhs)
+            position = solver._step_matrices(*key)[3].position
             for factor, _ in sweep_factors(key, free).values():
-                x = factor.solve(rhs)
+                x = factor.solve(red_black(key, rhs))[position]
                 gap = np.linalg.norm(x - x_sparse) / np.linalg.norm(x_sparse)
                 if not singular:
                     assert gap <= 1e-12
@@ -936,7 +980,9 @@ class TestFactorizationBackends:
         solver._sweep_factorization.cache_clear()
         try:
             step = time_step(state, st, sim)
-            active = (step.active_pos | step.active_neg).tobytes()
+            # The solver's B and its masks are in the red-black order, and so
+            # is this sweep matrix.
+            active = red_black(key, step.active_pos | step.active_neg).tobytes()
             assert isinstance(solver._sweep_factorization(*key, active), solver._BandCholesky)
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "_factorize", sparse_lu)

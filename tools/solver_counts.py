@@ -4,11 +4,12 @@ Counts the factorizations, active-set sweeps and solves of the two serial
 bench round sets at one seed, per factorization backend (``BandCholesky`` or
 ``BandLU``), by wrapping ``solver._factorize`` (and the ``solve`` of each
 factor it returns) and ``solver.time_step``, and the products by ``B``
-(``b_products``) by wrapping the ``B`` that ``solver._step_matrices``
-returns.  Per backend it also sums the size of each factorization's LAPACK
-band: ``factored_unknowns`` adds its columns ``N_band`` and ``band_flops``
-adds ``N_band * kd**2``, the order of the factorization's flops for
-bandwidth ``kd``.  The round sets are:
+(``b_products``) by wrapping ``solver._matvec``, through which the solver
+makes every sparse product, and counting those whose matrix is a ``B`` that
+``solver._step_matrices`` returned.  Per backend it also sums the size of
+each factorization's LAPACK band: ``factored_unknowns`` adds its columns
+``N_band`` and ``band_flops`` adds ``N_band * kd**2``, the order of the
+factorization's flops for bandwidth ``kd``.  The round sets are:
 
 * ``hf-reference``: the first 10 steps of reference model 1 (n=128) from
   pilot inputs 0-2;
@@ -16,9 +17,11 @@ bandwidth ``kd``.  The round sets are:
 
 These counts repeat exactly from run to run, so they compare two versions of
 the solver where ``bench/layers.py`` cannot: it counts ``splu`` calls only,
-and the solver makes none.  The factorization, sweep, solve and product
-counts do not depend on how the sweep matrix is factorized; the band sizes
-show how much each factorization works on.
+and the solver makes none.  A checkout whose solver has no ``_matvec`` (one
+from before sparse products went through it) cannot be counted.  The
+factorization, sweep, solve and product counts do not depend on how the
+sweep matrix is factorized; the band sizes show how much each factorization
+works on.
 
 Then it times ``run_pilot`` of a two-model n=64 family (delta 0.25 and
 0.1875, ``t_final`` 0.1, 6 pilot samples) at ``workers`` 1 and 2, in
@@ -72,24 +75,13 @@ class CountingFactor:
         return self.factor.solve(rhs)
 
 
-class CountingB:
-    """Forwards products to ``B`` and counts them."""
-
-    def __init__(self, b_mat, counts: Counter):
-        self.b_mat, self.counts = b_mat, counts
-
-    def __matmul__(self, other):
-        self.counts["b_products"] += 1
-        return self.b_mat @ other
-
-
 @contextlib.contextmanager
 def counting(solver):
     """Count, while the body runs, into the ``Counter`` it is given; the
     one-entry factorization cache starts empty."""
     counts: Counter = Counter()
     factorize, time_step = solver._factorize, solver.time_step
-    step_matrices = solver._step_matrices
+    step_matrices, matvec, b_ids = solver._step_matrices, solver._matvec, set()
 
     def counting_factorize(*args):
         factor = factorize(*args)
@@ -106,18 +98,23 @@ def counting(solver):
         counts["sweeps"] += state.sweeps
         return state
 
-    def counting_step_matrices(*args):
-        b_mat, *rest = step_matrices(*args)
-        return (CountingB(b_mat, counts), *rest)
+    def recording_step_matrices(*args):
+        operators = step_matrices(*args)
+        b_ids.add(id(operators[0]))
+        return operators
+
+    def counting_matvec(matrix, vector):
+        counts["b_products"] += id(matrix) in b_ids
+        return matvec(matrix, vector)
 
     solver._factorize, solver.time_step = counting_factorize, counting_time_step
-    solver._step_matrices = counting_step_matrices
+    solver._step_matrices, solver._matvec = recording_step_matrices, counting_matvec
     solver._sweep_factorization.cache_clear()
     try:
         yield counts
     finally:
         solver._factorize, solver.time_step = factorize, time_step
-        solver._step_matrices = step_matrices
+        solver._step_matrices, solver._matvec = step_matrices, matvec
         solver._sweep_factorization.cache_clear()
     for name in ("factorizations", "solves", "factored_unknowns", "band_flops"):
         counts[name] = sum(v for k, v in counts.items() if k.startswith(f"{name}."))
