@@ -473,9 +473,12 @@ def _matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     kernel that ``@`` itself calls, without its dispatch.
 
     ``scipy.sparse._sparsetools.csr_matvec`` is a private scipy entry point
-    (see the module docstring); this is the one place that reaches it.
+    (see the module docstring); this is the one place that reaches it.  The
+    kernel does not check the vector's length, so this does, as ``@`` would.
     """
     rows, columns = a.shape
+    if x.shape != (columns,):
+        raise ValueError(f"cannot multiply a {rows}x{columns} matrix by a vector of {x.shape}")
     y = np.zeros(rows)
     _sparsetools.csr_matvec(rows, columns, a.indptr, a.indices, a.data, x, y)
     return y

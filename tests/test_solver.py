@@ -876,6 +876,10 @@ class TestDirectProducts:
             y = solver._matvec(matrix, x)
             assert y.dtype == np.float64 and y.shape == (matrix.shape[0],)
             assert np.array_equal(y, matrix @ x)
+            # the kernel would read past a short vector; the helper refuses it
+            for size in (matrix.shape[1] - 1, matrix.shape[1] + 1):
+                with pytest.raises(ValueError, match="cannot multiply"):
+                    solver._matvec(matrix, x[:size] if size < x.size else np.append(x, 1.0))
 
     @pytest.mark.parametrize("case", sorted(KEYS))
     def test_red_black_b_sums_in_the_natural_order(self, case):

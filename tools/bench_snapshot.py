@@ -7,10 +7,10 @@ Runs ``bench/run.py`` of a checkout untraced for every workload named in its
 makes), so it also runs ``tools/solver_counts.py`` of this repository on the
 checkout for the factorization, sweep, solve and ``B``-product counts and the
 factored band sizes (which it can count only on a checkout whose solver
-makes its sparse products through ``solver._matvec``).  It writes the medians, the counters, the versions and
-the exact commands (the bench's run in the checkout's root, the counts' in
-this repository's) to ``BENCH_<label>.json`` at the root of the repository
-holding this script::
+makes its sparse products through ``solver._matvec``).  It writes the
+medians, the counters, the versions and the exact commands (the bench's run
+in the checkout's root, the counts' in this repository's) to
+``BENCH_<label>.json`` at the root of the repository holding this script::
 
     python3 tools/bench_snapshot.py --label after
     python3 tools/bench_snapshot.py --label before --repo ../checkout-of-parent
