@@ -793,7 +793,8 @@ class TestMaskedAssembly:
         # Permuted back to the natural order, the red-black B's rows hold
         # their entries in the natural column order.
         n_solution, h, xi, beta1, beta2, dt = key = OPERATOR_CASES[case]
-        b_mat, diagonal = natural_b(key), natural_b(key).diagonal()
+        b_mat = natural_b(key)
+        diagonal = b_mat.diagonal()
         assert b_mat.format == "csr" and b_mat.has_sorted_indices
         np.testing.assert_array_equal(solver._step_matrices(*key)[2], red_black(key, diagonal))
         lower1, lower_k = b_mat.diagonal(-1), b_mat.diagonal(-n_solution)
