@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import next_fast_len, rfftn
+from scipy.fft._pocketfft import pypocketfft
 
 from .errors import ConfigError, DegenerateStencilError, as_float, as_int
 
@@ -280,9 +281,27 @@ def convolve(stencil: ConvolutionStencil, padded: np.ndarray) -> np.ndarray:
     # (so results match it bit for bit); the solution block starts at
     # ``pad + radius`` in it.
     fshape = stencil.fft_shape
-    full = irfftn(rfftn(padded, fshape) * stencil.spectrum, fshape)
+    full = np.zeros(fshape)
+    full[: grid.n_side, : grid.n_side] = padded
+    full = _fft_product(full, stencil.spectrum)
     lo = grid.pad + stencil.radius_cells
     return np.ascontiguousarray(
         full[lo : lo + grid.n_solution, lo : lo + grid.n_solution]
     )
 
+
+def _fft_product(field: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """``irfftn(rfftn(field) * spectrum, field.shape)`` for a 2-D real
+    ``field``, bit for bit, through the pocketfft transforms that those
+    functions call, without their per-call argument handling.
+
+    ``scipy.fft._pocketfft.pypocketfft`` is a private scipy entry point, a
+    maintenance risk like the sparse kernel of :func:`phaseuq.solver._matvec`:
+    a scipy release may move or change it, and ``tests/test_grid.py`` compares
+    this with ``rfftn``/``irfftn`` bit for bit on every desk stencil.  The
+    arguments are those ``scipy.fft`` passes by default: both axes, no
+    scaling forward, ``1 / N`` backward, one thread.
+    """
+    half = pypocketfft.r2c(field, (0, 1), True, 0, None, 1)
+    half *= spectrum
+    return pypocketfft.c2r(half, (0, 1), field.shape[1], False, 2, None, 1)

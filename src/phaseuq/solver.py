@@ -33,17 +33,44 @@ exactly and factors only the black Schur complement
 red-black coupling: ``n_solution**2 // 2`` unknowns with the bandwidth
 ``n_solution`` of ``M`` itself, so the band, the factorization flops and the
 band solves are halved.  A per-grid plan, cached with ``B``, maps the
-reciprocal red diagonal to the slots of the black band.  ``S D_K`` is the
+reciprocal red diagonal to the slots of the black bands.  ``S D_K`` is the
 Schur complement of ``M D``, so it is symmetric, and positive definite when
 ``xi > 0`` and ``beta1 > 0``: on every grid those models get LAPACK's band
-Cholesky of ``S D_K`` (``dpbtrf``, a band of ``n_solution + 1`` rows), the
-others band LU of ``S`` (``dgbtrf``, ``3 n_solution + 1`` rows).  In the
+Cholesky of ``S D_K`` (``dpbtrf``, below), the others band LU of ``S``
+(``dgbtrf``, ``3 n_solution + 1`` rows).  In the
 built-in families only reference models 5 and 6 take band LU above
 ``n_interior = 64``, and :func:`check_well_posed` rejects both at their
 ``dt``.  At a smaller ``dt``, band LU of ``S`` at ``n_interior = 128`` takes
 about twice as long per factorization as band Cholesky (31 against 15 ms on
 a loaded 2-core machine, where band LU of the whole ``M`` took 62 ms) and
 holds a 26 MB band (204 MB at ``n_interior = 256``).
+
+The plan orders the black nodes by anti-diagonal (``i + j``, then ``i``).
+``S`` couples each black node only to those on its own anti-diagonal and
+the two next to it, so in that order the first column of each row of its
+lower triangle never decreases, and the rows' widths grow from 2 to
+``n_solution`` and back: the envelope is a diamond, and envelope Cholesky
+(George & Liu, *Computer Solution of Large Sparse Positive Definite
+Systems*, 1981) needs about half the flops of the band.  Band Cholesky
+factors ``S D_K`` as a chain of band segments, one ``dpbtrf`` each with its
+own bandwidth, joined exactly by block Cholesky (see
+:class:`_BandCholesky`); the boundaries fall between anti-diagonals.  A band
+is split only when it is at least four ``dpbtrf`` blocks (``4 * 32``) wide,
+into segments of 16 anti-diagonals from either end, whose bandwidths step by
+one block, and one middle segment that holds the widest anti-diagonals (a
+boundary there would save no band work and cost the largest interface): of
+the built-in grids only ``n_interior = 128`` is split, into 7 segments of
+bandwidths 32, 64, 96, 129, 96, 64 and 32.  On a shared 2-core machine
+(OpenBLAS, one thread), one factorization of reference model 1's ``S D_K``
+after 5 steps took 10-21% less time in 8 segments of 16 anti-diagonals
+than in one band (7.1-7.6 against 7.7-9.1 ms in quiet spells, medians of
+30-80 interleaved repeats), and 2 points less again without the boundary
+at the widest anti-diagonal; the solves agreed with one band's to 4e-15.
+At ``n_interior = 64`` no split paid: 2, 4 and 6
+segments were 10-39% slower and 3 segments 2% faster, since ``dpbtrf``
+spends more per column of a narrow band than the narrowing saves (0.56 us
+per column at bandwidth 64, 0.41 us at 65).  Band LU keeps one band over the
+same order, of bandwidth ``n_solution``.
 
 Each residual of a step is one product by ``B``:
 ``r(u, lam) = rhs0 - u / dt - B (xi u + lam) = rhs0 - A u - B lam``.  A sweep
@@ -74,7 +101,10 @@ calls, so the products are bit-identical, and skipping ``@``'s dispatch
 roughly halves their cost on the small grids.  It is a private scipy entry
 point and a maintenance risk: a scipy release may move or change it, and
 ``tests/test_solver.py`` compares :func:`_matvec` with ``@`` bit for bit on
-every matrix a step multiplies by.
+every matrix a step multiplies by.  The convolution of each step has the
+same risk: :func:`phaseuq.grid.convolve` calls scipy's private pocketfft
+transforms (``scipy.fft._pocketfft.pypocketfft``) directly, and
+``tests/test_grid.py`` compares them with ``rfftn``/``irfftn`` bit for bit.
 
 A one-entry cache keyed by the operators and the active set carries the last
 factorization to the next call: a step starts from the active sets its
@@ -101,7 +131,7 @@ import scipy.sparse as sp
 # Unused here, but bench/layers.py patches ``solver.spla`` to trace ``splu``, and
 # ``bench/run.py --trace 1`` fails without the attribute.
 import scipy.sparse.linalg as spla  # noqa: F401
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse import _sparsetools
 
 from .errors import ConfigError, ConvergenceError, as_float, as_int
@@ -385,21 +415,52 @@ def check_well_posed(
         )
 
 
+class _Segment(NamedTuple):
+    """One band of the chain that :class:`_BandCholesky` factors: the black
+    positions ``start:stop`` in a ``(kd + 1, stop - start)`` band held at
+    ``band`` of the plan's flat storage.
+
+    ``head_slots`` are the band slots of the lower triangle of the segment's
+    leading block, and ``head_index`` the Fortran-order positions of the same
+    entries in the dense update that the previous segment leaves there (both
+    empty on the first segment).  The segment's last ``m`` columns couple to
+    the next segment's first ``r`` rows: ``tail_slots`` are the band slots of
+    the lower triangle of the trailing ``m x m`` block and ``tail_index`` their
+    Fortran-order positions in a dense ``m x m`` matrix, and ``coupling`` is
+    where the transposed coupling block lies in the flat storage, ``m x r`` in
+    Fortran order (``m = r = 0`` on the last segment).
+    """
+
+    start: int
+    stop: int
+    kd: int
+    band: slice
+    head_slots: np.ndarray
+    head_index: np.ndarray
+    m: int
+    r: int
+    tail_slots: np.ndarray
+    tail_index: np.ndarray
+    coupling: slice
+
+
 class _RedBlackPlan(NamedTuple):
     """The checkerboard split of the solution block that every sweep matrix
     of one ``B`` shares.
 
     Red nodes have ``i + j`` even, black nodes ``i + j`` odd; ``order`` lists
-    the red nodes and then the black ones, each in the natural order, and
-    ``position`` is its inverse permutation.  ``c_kr`` is ``B``'s black-red
-    block and ``c_rk`` its transpose.  ``t_map`` takes a vector ``v`` over the
-    red nodes to the entries of the lower triangle of
-    ``T(v) = c_kr diag(v) c_rk``, the diagonal first, and ``kd`` is the
-    bandwidth of ``T``.  ``cholesky_slots`` are the flat positions of those
-    entries in a Fortran-ordered ``(kd + 1, n_black)`` band of the lower
-    triangle; in a ``(3 kd + 1, n_black)`` general band, ``lu_slots`` are
-    those of the entries ``lu_terms`` of ``t_map``'s output and of their
-    mirror images above the diagonal, whose columns are ``lu_columns``.
+    the red nodes in the natural order and then the black ones by
+    anti-diagonal (``i + j``, then ``i``), and ``position`` is its inverse
+    permutation.  ``c_kr`` is ``B``'s black-red block and ``c_rk`` its
+    transpose.  ``t_map`` takes a vector ``v`` over the red nodes to the
+    entries of the lower triangle of ``T(v) = c_kr diag(v) c_rk``, the
+    diagonal first, and ``kd`` is the bandwidth of ``T``.  ``cholesky_slots``
+    are the positions of those entries in a flat storage of ``cholesky_size``
+    numbers that holds the Fortran-ordered bands of ``segments`` and the
+    coupling blocks between them; in a ``(3 kd + 1, n_black)`` general band,
+    ``lu_slots`` are those of the entries ``lu_terms`` of ``t_map``'s output
+    and of their mirror images above the diagonal, whose columns are
+    ``lu_columns``.
     """
 
     order: np.ndarray
@@ -409,24 +470,40 @@ class _RedBlackPlan(NamedTuple):
     c_rk: sp.csr_matrix
     t_map: sp.csr_matrix
     kd: int
+    segments: tuple[_Segment, ...]
+    cholesky_size: int
     cholesky_slots: np.ndarray
     lu_slots: np.ndarray
     lu_terms: np.ndarray
     lu_columns: np.ndarray
 
 
+#: The largest block of reference LAPACK's ``dpbtrf``.  The segments of
+#: :class:`_BandCholesky` span half as many black anti-diagonals, so their
+#: bandwidths step by one block, and only bands at least four blocks wide
+#: are split (see the module docstring).
+_DPBTRF_BLOCK = 32
+
+
 def _red_black_plan(n_solution: int, lower1: np.ndarray, lower_k: np.ndarray) -> _RedBlackPlan:
     """The :class:`_RedBlackPlan` of the ``B`` whose first and ``n_solution``-th
     subdiagonals are ``lower1`` and ``lower_k``.
 
-    A node's position within its colour is ``p // 2`` for either parity of
-    ``n_solution``, so ``T`` has bandwidth ``n_solution`` (from ``i +- 2``).
+    A black node's position in its colour is looked up in ``black_position``.
+    ``T`` couples each black node to those on its own anti-diagonal and the
+    two next to it, so the first column of each row of its lower triangle
+    never decreases along the black order, and each entry lies in one
+    segment or couples two consecutive ones.
     """
     n, size = n_solution, n_solution**2
     i, j = np.divmod(np.arange(size), n)
     red = np.flatnonzero((i + j) % 2 == 0)
-    order = np.concatenate([red, np.flatnonzero((i + j) % 2 == 1)])
-    n_red, n_black = red.size, size - red.size
+    black = np.flatnonzero((i + j) % 2 == 1)
+    black = black[np.lexsort((i[black], (i + j)[black]))]
+    order = np.concatenate([red, black])
+    n_red, n_black = red.size, black.size
+    black_position = np.zeros(size, dtype=np.intp)
+    black_position[black] = np.arange(n_black)
     # The four neighbours of each red node, in increasing order, and B's couplings to them.
     ri, rj = i[red], j[red]
     neighbours = red[:, None] + np.array([-n, -1, 1, n])
@@ -434,20 +511,28 @@ def _red_black_plan(n_solution: int, lower1: np.ndarray, lower_k: np.ndarray) ->
     l1, lk = np.append(lower1, 0.0), np.append(lower_k, np.zeros(n))
     weights = np.stack([lk[red - n], l1[red - 1], l1[red], lk[red]], axis=1) * exists
     counts = np.concatenate([[0], np.cumsum(exists.sum(axis=1))])
-    c_rk = sp.csr_matrix(
-        (weights[exists], neighbours[exists] // 2, counts), shape=(n_red, n_black)
-    )
+    neighbours = black_position[np.where(exists, neighbours, 0)]
+    c_rk = sp.csr_matrix((weights[exists], neighbours[exists], counts), shape=(n_red, n_black))
     # Red node r adds c_ar c_br v_r to T[a, b] for each pair of its black
     # neighbours a >= b; the entry T[a, b] is keyed by (a - b, b).
     pairs = [(s, t) for s in range(4) for t in range(s + 1)]
     both = [exists[:, s] & exists[:, t] for s, t in pairs]
-    a = np.concatenate([neighbours[m, s] // 2 for m, (s, _) in zip(both, pairs)])
-    b = np.concatenate([neighbours[m, t] // 2 for m, (_, t) in zip(both, pairs)])
+    a = np.concatenate([neighbours[m, s] for m, (s, _) in zip(both, pairs)])
+    b = np.concatenate([neighbours[m, t] for m, (_, t) in zip(both, pairs)])
     w = np.concatenate([weights[m, s] * weights[m, t] for m, (s, t) in zip(both, pairs)])
     r = np.concatenate([np.flatnonzero(m) for m in both])
     keys, entry = np.unique((a - b) * n_black + b, return_inverse=True)
     offsets, cols = np.divmod(keys, n_black)
     rows, kd = cols + offsets, int(offsets.max(initial=0))
+    # Segment boundaries fall between black anti-diagonals, every NB / 2 of
+    # them from either end, so that the widest ones share the middle segment.
+    diagonal_starts = np.flatnonzero(np.diff((i + j)[black], prepend=-1))
+    span = _DPBTRF_BLOCK // 2
+    picks = span * np.arange(diagonal_starts.size // (2 * span) if kd >= 4 * _DPBTRF_BLOCK else 1)
+    picks = np.concatenate([picks, diagonal_starts.size - picks[:0:-1]])
+    segments, cholesky_slots, cholesky_size = _cholesky_chain(
+        diagonal_starts[picks], n_black, rows, cols
+    )
     mirrored = np.flatnonzero(offsets > 0)
     lu_rows = 3 * kd + 1
     return _RedBlackPlan(
@@ -458,7 +543,9 @@ def _red_black_plan(n_solution: int, lower1: np.ndarray, lower_k: np.ndarray) ->
         c_rk=c_rk,
         t_map=sp.csr_matrix((w, (entry, r)), shape=(keys.size, n_red)),
         kd=kd,
-        cholesky_slots=cols * (kd + 1) + offsets,
+        segments=segments,
+        cholesky_size=cholesky_size,
+        cholesky_slots=cholesky_slots,
         lu_slots=np.concatenate([
             cols * lu_rows + 2 * kd + offsets,
             rows[mirrored] * lu_rows + 2 * kd - offsets[mirrored],
@@ -466,6 +553,56 @@ def _red_black_plan(n_solution: int, lower1: np.ndarray, lower_k: np.ndarray) ->
         lu_terms=np.concatenate([np.arange(keys.size), mirrored]),
         lu_columns=np.concatenate([cols, rows[mirrored]]),
     )
+
+
+def _cholesky_chain(starts, n_black, rows, cols):
+    """The segments that start at the black positions ``starts`` (the first
+    at 0), the flat slots of the lower-triangle entries ``(rows, cols)`` of
+    ``T`` in their bands or coupling blocks, and the size of that storage.
+
+    Each entry couples two positions of one segment or of two consecutive
+    ones.  A segment's band covers its own entries and the dense update its
+    predecessor leaves on its first ``r`` rows.
+    """
+    stops = np.append(starts[1:], n_black)
+    segment_of = np.repeat(np.arange(starts.size), stops - starts)
+    upper, lower = segment_of[rows], segment_of[cols]
+    count, cross = starts.size, upper > lower
+    m = np.zeros(count, dtype=np.intp)
+    r = np.zeros(count, dtype=np.intp)
+    np.maximum.at(m, lower[cross], stops[lower[cross]] - cols[cross])
+    np.maximum.at(r, lower[cross], rows[cross] - starts[upper[cross]] + 1)
+    kd = np.zeros(count, dtype=np.intp)
+    np.maximum.at(kd, upper[~cross], (rows - cols)[~cross])
+    kd[1:] = np.maximum(kd[1:], r[:-1] - 1)  # room for the dense update on the head
+    sizes = np.concatenate([(kd + 1) * (stops - starts), m * r])
+    bases = np.concatenate([[0], np.cumsum(sizes)])
+    band_base, coupling_base = bases[:count], bases[count:-1]
+    slots = np.where(
+        cross,
+        coupling_base[lower] + cols - stops[lower] + m[lower] + (rows - starts[upper]) * m[lower],
+        band_base[upper] + (cols - starts[upper]) * (kd[upper] + 1) + rows - cols,
+    )
+    heads = np.append(0, r[:-1])
+    segments = []
+    for s in range(count):
+        head_rows, head_cols = np.tril_indices(heads[s])
+        tail_rows, tail_cols = np.tril_indices(m[s])  # inside the band: m <= kd + 1
+        segments.append(_Segment(
+            start=int(starts[s]),
+            stop=int(stops[s]),
+            kd=int(kd[s]),
+            band=slice(int(band_base[s]), int(band_base[s] + sizes[s])),
+            head_slots=head_cols * (kd[s] + 1) + head_rows - head_cols,
+            head_index=head_rows + head_cols * heads[s],
+            m=int(m[s]),
+            r=int(r[s]),
+            tail_slots=(tail_cols + stops[s] - starts[s] - m[s]) * (kd[s] + 1)
+            + tail_rows - tail_cols,
+            tail_index=tail_rows + tail_cols * m[s],
+            coupling=slice(int(coupling_base[s]), int(coupling_base[s] + m[s] * r[s])),
+        ))
+    return tuple(segments), slots, int(bases[-1])
 
 
 def _matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -575,32 +712,79 @@ class _BandLU(_RedBlack):
 
 
 class _BandCholesky(_RedBlack):
-    """Cholesky factorization ``L L^T`` (``dpbtrf``/``dpbtrs``) of ``S D_K``,
-    for the black Schur complement ``S`` of :class:`_RedBlack`, in a
-    ``(kd + 1, n_black)`` band.  ``S D_K = D_K M_K - xi T(v)`` is the Schur
-    complement of ``M D`` and so symmetric positive definite with it; ``S
-    x_K = f`` is solved as ``x_K = D_K y``, ``S D_K y = f``."""
+    """Cholesky factorization ``L L^T`` of ``S D_K``, for the black Schur
+    complement ``S`` of :class:`_RedBlack`, as a chain of band segments
+    (``dpbtrf``/``dtbtrs`` per segment).  ``S D_K = D_K M_K - xi T(v)`` is
+    the Schur complement of ``M D`` and so symmetric positive definite with
+    it; ``S x_K = f`` is solved as ``x_K = D_K y``, ``S D_K y = f``.
+
+    Segment ``j + 1`` meets segment ``j`` through the block ``C`` that
+    couples its first ``r`` rows to ``j``'s last ``m`` columns, so ``L``'s
+    block below ``L_j`` is ``W^T`` on those rows and columns, with
+    ``W = L_tri^-1 C^T`` for the trailing ``m x m`` triangle ``L_tri`` of
+    ``L_j``, and segment ``j + 1`` factors its own block less ``W^T W``.
+    """
 
     def _factor(self, diagonal, t):
-        plan, n, k, xi = self.plan, diagonal.size, self.plan.kd, self.xi
+        plan, xi = self.plan, self.xi
         self.d = xi / self.e_black  # D E = xi I
-        band = np.zeros((k + 1) * n)
-        band[plan.cholesky_slots] = -xi * t
-        band = band.reshape((k + 1, n), order="F")
-        band[0] += diagonal * self.d
-        self.factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-        if info != 0:
-            raise RuntimeError(f"band Cholesky failed (dpbtrf info={info})")
+        values = -xi * t
+        values[: diagonal.size] += diagonal * self.d
+        storage = np.zeros(plan.cholesky_size)
+        storage[plan.cholesky_slots] = values
+        # Each segment's band factor L_j and the W to the next segment (None on the last).
+        self.chain, update = [], None
+        for segment in plan.segments:
+            band = storage[segment.band]
+            if update is not None:
+                band[segment.head_slots] -= update.ravel(order="F")[segment.head_index]
+            factor, info = lapack.dpbtrf(
+                band.reshape((segment.kd + 1, -1), order="F"), lower=1, overwrite_ab=1
+            )
+            if info != 0:
+                raise RuntimeError(f"band Cholesky failed (dpbtrf info={info})")
+            w = None
+            if segment.m:
+                tail = np.zeros(segment.m * segment.m)
+                tail[segment.tail_index] = factor.ravel(order="F")[segment.tail_slots]
+                w, info = lapack.dtrtrs(
+                    tail.reshape((segment.m, segment.m), order="F"),
+                    storage[segment.coupling].reshape((segment.m, segment.r), order="F"),
+                    lower=1, overwrite_b=1,
+                )
+                if info != 0:
+                    raise RuntimeError(f"triangular solve failed (dtrtrs info={info})")
+                update = blas.dsyrk(1.0, w, trans=1, lower=1)
+            self.chain.append((segment, factor, w))
 
     def _black_pivots(self) -> np.ndarray:
         """The pivots of ``S``'s LU without row exchanges, ``diag(L)^2 / d``."""
-        return self.factor[0] ** 2 / self.d
+        return np.concatenate([factor[0] for _, factor, _ in self.chain]) ** 2 / self.d
 
     def _solve_black(self, rhs: np.ndarray) -> np.ndarray:
-        y, info = lapack.dpbtrs(self.factor, rhs, lower=1)
-        if info != 0:
-            raise RuntimeError(f"band Cholesky solve failed (dpbtrs info={info})")
+        y = rhs.copy()
+        # L y = f: each segment's solution passes W^T y to the next one's head ...
+        for segment, factor, w in self.chain:
+            part = y[segment.start : segment.stop]
+            part[:] = _band_solve(factor, part, "N")
+            if w is not None:
+                y[segment.stop : segment.stop + segment.r] -= w.T @ part[-segment.m :]
+        # ... and L^T x = y, backwards: each takes W x of the next one's head.
+        for segment, factor, w in reversed(self.chain):
+            part = y[segment.start : segment.stop]
+            if w is not None:
+                part[-segment.m :] -= w @ y[segment.stop : segment.stop + segment.r]
+            part[:] = _band_solve(factor, part, "T")
         return self.d * y
+
+
+def _band_solve(factor: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
+    """``L^-1 rhs`` (``trans="N"``) or ``L^-T rhs`` (``"T"``) for a lower band
+    factor ``L`` of ``dpbtrf``."""
+    x, info = lapack.dtbtrs(factor, rhs, uplo="L", trans=trans)
+    if info != 0:
+        raise RuntimeError(f"band Cholesky solve failed (dtbtrs info={info})")
+    return x
 
 
 def _factorize(plan, diagonal, free, xi, beta1, scale) -> _BandCholesky | _BandLU:
@@ -637,7 +821,7 @@ def _sweep_factorization(
     as the bytes of a boolean mask in the red-black order.
 
     One entry only: callers keep many states, and an n=128 factorization is
-    about 9 MB.  It is what the first sweep of each step reuses, since a step
+    about 7 MB.  It is what the first sweep of each step reuses, since a step
     starts from the sets the previous step converged on.
     """
     _, a_diagonal, b_diagonal, plan = _step_matrices(n_solution, h, xi, beta1, beta2, dt)

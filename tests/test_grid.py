@@ -25,6 +25,7 @@ from phaseuq import (
     kernel_value,
     reference_config,
 )
+from phaseuq import grid as grid_module
 from phaseuq.grid import cached_stencil
 from phaseuq.solver import model_stencil
 
@@ -247,6 +248,25 @@ class TestConvolution:
         padded = np.random.default_rng(model_id).uniform(-1.0, 1.0, (st.grid.n_side,) * 2)
         full = signal.fftconvolve(padded, st.patch)
         np.testing.assert_array_equal(convolve(st, padded), full[lo : lo + n, lo : lo + n])
+
+    @pytest.mark.parametrize("model_id", range(1, 10))
+    def test_fft_product_matches_rfftn_bit_for_bit(self, model_id):
+        # ``grid._fft_product`` reaches scipy's private pocketfft transforms;
+        # a scipy release that changes them must fail here.
+        from scipy.fft import irfftn, rfftn
+
+        config = desk_config()
+        model = config.model(model_id)
+        st = model_stencil(model, config.kernel_for(model))
+        rng = np.random.default_rng(model_id)
+        for scale in (1.0, 1e-8, 1e8):
+            field = np.zeros(st.fft_shape)
+            field[: st.grid.n_side, : st.grid.n_side] = rng.uniform(-scale, scale,
+                                                                   (st.grid.n_side,) * 2)
+            got = grid_module._fft_product(field, st.spectrum)
+            expected = irfftn(rfftn(field, st.fft_shape) * st.spectrum, st.fft_shape)
+            assert got.dtype == np.float64 and got.shape == st.fft_shape
+            assert np.array_equal(got, expected)
 
     def test_stencil_arrays_are_read_only(self):
         # Cached stencils are shared, and a changed patch would no longer

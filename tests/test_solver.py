@@ -629,6 +629,8 @@ CHOLESKY_CASES = {
     "desk-n32": OPERATOR_CASES["desk-n32"],
     "reference-n64": model_operators(8, reference_config())[2],
 }
+#: The n=128 high-fidelity reference grid, the one whose band is split.
+REFERENCE_N128 = model_operators(1, reference_config())[2]
 #: A grid with an even number of solution nodes per side; the desk and
 #: reference grids all have an odd number.
 EVEN_KEY = (66, 1.0 / 65, 0.02, 1.0, 0.05, 0.01)
@@ -641,6 +643,8 @@ def sweep_key(case):
         return (9, 1.0 / 8, 0.0, 1.0, 0.05, 0.01)
     if case == "even-n66":
         return EVEN_KEY
+    if case == "reference-n128":
+        return REFERENCE_N128
     return (OPERATOR_CASES | CHOLESKY_CASES)[case]
 
 
@@ -673,9 +677,11 @@ def sparse_sweep_matrix(key, free):
 
 
 def checkerboard(n_solution):
-    """The red nodes (``i + j`` even) and the black ones, in the natural order."""
+    """The red nodes (``i + j`` even) in the natural order, and the black ones
+    by anti-diagonal: ``i + j``, then ``i``."""
     i, j = np.divmod(np.arange(n_solution**2), n_solution)
-    return np.flatnonzero((i + j) % 2 == 0), np.flatnonzero((i + j) % 2 == 1)
+    black = sorted(np.flatnonzero((i + j) % 2 == 1), key=lambda p: (i[p] + j[p], i[p]))
+    return np.flatnonzero((i + j) % 2 == 0), np.array(black)
 
 
 def black_schur_complement(m_sparse, n_solution):
@@ -822,28 +828,94 @@ class TestMaskedAssembly:
         check_band_inputs(key, np.random.default_rng(seed).random(key[0] ** 2) < free_fraction)
 
 
+def cholesky_entries(plan):
+    """The black rows and columns of ``plan.t_map``'s entries, read back from
+    their ``cholesky_slots``: each slot lies in one segment's band, inside
+    its ``kd``, or in the coupling block between two consecutive segments."""
+    slots = plan.cholesky_slots
+    rows, cols = np.full(slots.size, -1), np.full(slots.size, -1)
+    for s, segment in enumerate(plan.segments):
+        width = segment.kd + 1
+        inside = (slots >= segment.band.start) & (slots < segment.band.stop)
+        local, offset = np.divmod(slots[inside] - segment.band.start, width)
+        cols[inside] = segment.start + local
+        rows[inside] = cols[inside] + offset
+        assert np.all(rows[inside] < segment.stop)
+        if segment.m:
+            coupled = (slots >= segment.coupling.start) & (slots < segment.coupling.stop)
+            tail, head = np.divmod(slots[coupled] - segment.coupling.start, segment.m)[::-1]
+            cols[coupled] = segment.stop - segment.m + tail
+            rows[coupled] = plan.segments[s + 1].start + head
+            assert np.all(head < segment.r)
+    assert np.all(rows >= 0) and len(set(slots)) == slots.size
+    return rows, cols
+
+
 class TestRedBlackPlan:
     """The per-grid plan of the red-node elimination."""
 
     KEYS = {"odd-n17": OPERATOR_CASES["desk"], "even-n66": EVEN_KEY}
+    SEGMENTED_KEYS = KEYS | {"reference-n128": REFERENCE_N128}
 
-    @pytest.mark.parametrize("case", sorted(KEYS))
+    @pytest.mark.parametrize("case", sorted(SEGMENTED_KEYS))
     def test_t_map_rebuilds_the_reduced_coupling(self, case):
-        n_solution = self.KEYS[case][0]
-        plan = solver._step_matrices(*self.KEYS[case])[3]
+        n_solution = self.SEGMENTED_KEYS[case][0]
+        plan = solver._step_matrices(*self.SEGMENTED_KEYS[case])[3]
         n_black = n_solution**2 - plan.n_red
         v = np.random.default_rng(29).standard_normal(plan.n_red)
-        expected = sp.tril(plan.c_kr @ sp.diags(v) @ plan.c_rk).toarray()
-        # The entries' slots in the lower band give their rows and columns.
+        expected = sp.tril(plan.c_kr @ sp.diags(v) @ plan.c_rk).tocsr()
+        # The entries' slots in the bands and couplings give their rows and
+        # columns, the diagonal first.
         assert plan.kd == n_solution
-        cols, offsets = np.divmod(plan.cholesky_slots, plan.kd + 1)
-        assert len(set(plan.cholesky_slots)) == plan.cholesky_slots.size
+        rows, cols = cholesky_entries(plan)
         np.testing.assert_array_equal(cols[:n_black], np.arange(n_black))
-        np.testing.assert_array_equal(offsets[:n_black], 0)
-        rebuilt = np.zeros((n_black, n_black))
-        rebuilt[cols + offsets, cols] = plan.t_map @ v
-        np.testing.assert_allclose(rebuilt, expected, rtol=1e-14,
-                                   atol=1e-14 * np.abs(expected).max())
+        np.testing.assert_array_equal(rows[:n_black], np.arange(n_black))
+        rebuilt = sp.csr_matrix((plan.t_map @ v, (rows, cols)), shape=(n_black, n_black))
+        assert rebuilt.nnz == rows.size
+        gap = abs(rebuilt - expected).max()
+        assert gap <= 1e-14 * abs(expected).max()
+
+    @pytest.mark.parametrize("case", sorted(SEGMENTED_KEYS))
+    def test_segments_cover_the_envelope(self, case):
+        # In the anti-diagonal order the first column of each row of T's
+        # lower triangle never decreases; the segments tile the black nodes
+        # at anti-diagonal boundaries, and each band holds its rows'
+        # envelope and the dense update on its first r rows.
+        n_solution = self.SEGMENTED_KEYS[case][0]
+        plan = solver._step_matrices(*self.SEGMENTED_KEYS[case])[3]
+        n_black = n_solution**2 - plan.n_red
+        rows, cols = cholesky_entries(plan)
+        first = np.full(n_black, n_black)
+        np.minimum.at(first, rows, cols)
+        assert np.all(np.diff(first) >= 0)
+        i, j = np.divmod(plan.order[plan.n_red:], n_solution)
+        starts = [segment.start for segment in plan.segments]
+        stops = [segment.stop for segment in plan.segments]
+        assert starts[0] == 0 and stops[-1] == n_black and starts[1:] == stops[:-1]
+        for start in starts[1:]:
+            assert i[start] + j[start] > i[start - 1] + j[start - 1]
+        for previous, segment in zip(plan.segments, plan.segments[1:]):
+            assert previous.r - 1 <= segment.kd and previous.m - 1 <= previous.kd
+        for segment in plan.segments:
+            local = np.arange(segment.start, segment.stop)
+            assert np.all(local - np.maximum(first[local], segment.start) <= segment.kd)
+
+    @pytest.mark.parametrize("config, model_id, widths", [
+        *[(desk_config(), model_id, None) for model_id in range(1, 10)],
+        (reference_config(), 8, None),
+        (reference_config(), 1, [32, 64, 96, 129, 96, 64, 32]),
+    ], ids=[*[f"desk-m{m}" for m in range(1, 10)], "reference-n64", "reference-n128"])
+    def test_segment_count_follows_the_band(self, config, model_id, widths):
+        # Every desk grid and n=64 keep one band; only a band four dpbtrf
+        # blocks wide is split, into segments whose bandwidths step by one
+        # block from either end, with the widest anti-diagonals in the middle one.
+        key = model_operators(model_id, config)[2]
+        plan = solver._step_matrices(*key)[3]
+        if widths is None:
+            assert len(plan.segments) == 1 and plan.segments[0].kd == key[0]
+            assert plan.segments[0].m == plan.segments[0].r == 0
+        else:
+            assert [segment.kd for segment in plan.segments] == widths
 
     @pytest.mark.parametrize("case", sorted(KEYS))
     def test_couplings_are_the_off_diagonals_of_b(self, case):
@@ -941,6 +1013,33 @@ class TestFactorizationBackends:
             rhs = rng.standard_normal(n_solution**2)
             x, x_lu = chosen.solve(rhs), band.solve(rhs)
             assert np.linalg.norm(x - x_lu) <= 1e-12 * np.linalg.norm(x_lu)
+
+    @pytest.mark.parametrize("case", ["reference-n64", "reference-n128"])
+    def test_segmented_solve_matches_sparse_lu(self, case):
+        # The chosen factorization (one band at n=64, a chain of segments at
+        # n=128) against scipy's sparse LU of the same red-black sweep
+        # matrix, and its pivots against band LU's.
+        key = sweep_key(case)
+        n_solution, xi = key[0], key[2]
+        _, a_diagonal, b_diagonal, plan = solver._step_matrices(*key)
+        order = plan.order
+        rng = np.random.default_rng(41)
+        solver._sweep_factorization.cache_clear()
+        try:
+            for free_fraction in FREE_FRACTIONS:
+                free = rng.random(n_solution**2) < free_fraction
+                m_red_black = sparse_sweep_matrix(key, free)[order][:, order]
+                rhs = rng.standard_normal(n_solution**2)
+                x_sparse = spla.splu(m_red_black.tocsc()).solve(rhs)
+                factor = solver._sweep_factorization(*key, (~free[order]).tobytes())
+                assert isinstance(factor, solver._BandCholesky)
+                x = factor.solve(rhs)
+                assert np.linalg.norm(x - x_sparse) <= 1e-12 * np.linalg.norm(x_sparse)
+                lu = solver._BandLU(plan, np.where(free[order], a_diagonal, b_diagonal),
+                                    free[order], xi)
+                np.testing.assert_allclose(factor.pivots, lu.pivots, rtol=1e-12)
+        finally:
+            solver._sweep_factorization.cache_clear()
 
     @pytest.mark.parametrize(
         ("xi", "beta1", "n_solution", "backend"),

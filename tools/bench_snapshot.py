@@ -45,7 +45,7 @@ COUNTERS = (
 
 #: Counts of ``tools/solver_counts.py`` kept per round set.
 SOLVER_COUNTS = ("factorizations", "sweeps", "solves", "b_products", "factored_unknowns",
-                 "band_flops")
+                 "band_flops", "band_storage", "segments")
 
 
 def git(repo: Path, *args: str) -> str:

@@ -6,10 +6,13 @@ bench round sets at one seed, per factorization backend (``BandCholesky`` or
 factor it returns) and ``solver.time_step``, and the products by ``B``
 (``b_products``) by wrapping ``solver._matvec``, through which the solver
 makes every sparse product, and counting those whose matrix is a ``B`` that
-``solver._step_matrices`` returned.  Per backend it also sums the size of
-each factorization's LAPACK band: ``factored_unknowns`` adds its columns
-``N_band`` and ``band_flops`` adds ``N_band * kd**2``, the order of the
-factorization's flops for bandwidth ``kd``.  The round sets are:
+``solver._step_matrices`` returned.  Per backend it also sums the sizes of
+the LAPACK bands each factorization holds (one for band LU, one per segment
+for band Cholesky): ``factored_unknowns`` adds their columns ``N_j``,
+``band_flops`` adds ``N_j * kd_j**2``, the order of the factorization's
+flops for bandwidth ``kd_j``, and ``band_storage`` the numbers each band
+holds.  ``segments`` lists, per backend, each distinct chain of bands as
+its ``(kd_j, N_j)`` pairs.  The round sets are:
 
 * ``hf-reference``: the first 10 steps of reference model 1 (n=128) from
   pilot inputs 0-2;
@@ -55,13 +58,15 @@ STEPS = 10
 INPUTS = 3
 
 
-def band_size(factor) -> tuple[int, int]:
-    """The columns and the bandwidth of the LAPACK band a factor holds: band
-    LU keeps ``3 kd + 1`` rows in ``lu`` and ``kd`` in ``k``, band Cholesky
-    ``kd + 1`` rows in ``factor``."""
+def bands(factor) -> list[tuple[int, int, int]]:
+    """The bandwidth, columns and rows of each LAPACK band a factor holds:
+    band LU keeps ``3 kd + 1`` rows in ``lu`` and ``kd`` in ``k``, band
+    Cholesky ``kd_j + 1`` rows per segment in ``factors`` (in ``factor``, one
+    band, on checkouts from before the segments)."""
     if hasattr(factor, "lu"):
-        return factor.lu.shape[1], factor.k
-    return factor.factor.shape[1], factor.factor.shape[0] - 1
+        return [(factor.k, factor.lu.shape[1], factor.lu.shape[0])]
+    chain = factor.factors if hasattr(factor, "factors") else [factor.factor]
+    return [(band.shape[0] - 1, band.shape[1], band.shape[0]) for band in chain]
 
 
 class CountingFactor:
@@ -82,14 +87,17 @@ def counting(solver):
     counts: Counter = Counter()
     factorize, time_step = solver._factorize, solver.time_step
     step_matrices, matvec, b_ids = solver._step_matrices, solver._matvec, set()
+    chains: dict[str, set] = {}
 
     def counting_factorize(*args):
         factor = factorize(*args)
         backend = type(factor).__name__.lstrip("_")
-        columns, kd = band_size(factor)
+        chain = bands(factor)
         counts[f"factorizations.{backend}"] += 1
-        counts[f"factored_unknowns.{backend}"] += columns
-        counts[f"band_flops.{backend}"] += columns * kd**2
+        counts[f"factored_unknowns.{backend}"] += sum(columns for _, columns, _ in chain)
+        counts[f"band_flops.{backend}"] += sum(columns * kd**2 for kd, columns, _ in chain)
+        counts[f"band_storage.{backend}"] += sum(columns * rows for _, columns, rows in chain)
+        chains.setdefault(backend, set()).add(tuple((kd, columns) for kd, columns, _ in chain))
         return CountingFactor(factor, counts, backend)
 
     def counting_time_step(*args):
@@ -116,8 +124,9 @@ def counting(solver):
         solver._factorize, solver.time_step = factorize, time_step
         solver._step_matrices, solver._matvec = step_matrices, matvec
         solver._sweep_factorization.cache_clear()
-    for name in ("factorizations", "solves", "factored_unknowns", "band_flops"):
+    for name in ("factorizations", "solves", "factored_unknowns", "band_flops", "band_storage"):
         counts[name] = sum(v for k, v in counts.items() if k.startswith(f"{name}."))
+    counts["segments"] = {backend: sorted(map(list, found)) for backend, found in chains.items()}
 
 
 def hf_reference_counts(pq, seed: int) -> dict:
