@@ -61,11 +61,11 @@ INPUTS = 3
 def bands(factor) -> list[tuple[int, int, int]]:
     """The bandwidth, columns and rows of each LAPACK band a factor holds:
     band LU keeps ``3 kd + 1`` rows in ``lu`` and ``kd`` in ``k``, band
-    Cholesky ``kd_j + 1`` rows per segment in ``factors`` (in ``factor``, one
+    Cholesky ``kd_j + 1`` rows per segment in ``chain`` (in ``factor``, one
     band, on checkouts from before the segments)."""
     if hasattr(factor, "lu"):
         return [(factor.k, factor.lu.shape[1], factor.lu.shape[0])]
-    chain = factor.factors if hasattr(factor, "factors") else [factor.factor]
+    chain = [band for _, band, _ in factor.chain] if hasattr(factor, "chain") else [factor.factor]
     return [(band.shape[0] - 1, band.shape[1], band.shape[0]) for band in chain]
 
 
