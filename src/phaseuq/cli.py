@@ -181,13 +181,14 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args, f"simulate-m{model.model_id}", config)
     sim = config.sim
     every = args.snapshot_every
-    times = []
-    fractions = []
+    times, fractions, sweeps, factorizations = [], [], [], []
 
     def record(state) -> None:
         k = len(times)
         times.append(state.t)
         fractions.append(mass_fraction(grid, state.padded))
+        sweeps.append(state.sweeps)
+        factorizations.append(state.factorizations)
         if k in (0, sim.n_steps) or (every > 0 and k % every == 0):
             artifacts.write_field_csv(out / f"u_t{k:04d}.csv", state.padded)
 
@@ -200,6 +201,8 @@ def _cmd_simulate(args) -> int:
         "t_final": sim.t_final,
         "times": times,
         "mass_fraction": fractions,
+        "sweeps": sweeps,
+        "factorizations": factorizations,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"model {model.model_id}: mass fraction {fractions[-1]!r} at t={times[-1]:g}")

@@ -111,6 +111,13 @@ factorization to the next call: a step starts from the active sets its
 predecessor converged on, so its first sweep reuses the factorization of the
 previous step's last sweep instead of factorizing the same matrix again.
 
+Each step counts its work in the :class:`StepState` it returns, next to
+``sweeps``: ``factorizations`` are the misses of this process's cache during
+the step (a regularized refactorization counted once), ``solves`` one per
+sweep and refinement, and ``b_products`` one for ``rhs0`` and one per
+residual.  Unlike timings they repeat exactly, given what the cache held
+before the step.
+
 A step is well posed only if ``A`` is positive definite;
 :func:`check_well_posed` tests that in closed form before any solve.
 
@@ -324,6 +331,10 @@ class StepState:
 
     ``chemical_potential`` and ``multiplier`` are raveled over the solution
     block (row-major); ``padded`` is the full node set including the collar.
+    ``sweeps``, ``solves`` and ``b_products`` count the work of the step that
+    made the state (0 at ``t = 0``), and ``factorizations`` the misses of this
+    process's factorization cache during it, a regularized refactorization
+    once.
     """
 
     grid: Grid
@@ -335,6 +346,9 @@ class StepState:
     t: float = 0.0
     sweeps: int = 0
     residual: float = 0.0
+    factorizations: int = 0
+    solves: int = 0
+    b_products: int = 0
 
     @property
     def solution(self) -> np.ndarray:
@@ -852,12 +866,14 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
     rhs0 = state.padded[sol, sol].ravel()[order] / dt + _matvec(b_mat, g[order])
     # The active sets as one sign per node: +1 on the upper bound, -1 on the lower.
     signs = np.subtract(state.active_pos, state.active_neg, dtype=np.int8)[order]
+    misses, solves, b_products = _sweep_factorization.cache_info().misses, 0, 1
     for sweeps in range(1, sim.max_sweeps + 1):
         active = signs != 0
         pinned = signs.astype(float)
         lu = _sweep_factorization(*key, active.tobytes())
         # Each residual is r(u, lam) = rhs0 - A u - B lam, with one product by B.
         x = lu.solve(rhs0 - pinned / dt - _matvec(b_mat, xi * pinned))
+        solves, b_products = solves + 1, b_products + 1
         for refined in (False, True):
             u = np.where(active, pinned, x)
             lam = np.where(active, x, 0.0)
@@ -867,9 +883,11 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
             if not repeated:
                 break
             r = rhs0 - u / dt - _matvec(b_mat, xi * u + lam)
+            b_products += 1
             if refined or np.abs(r).max() <= sim.solver_tol:  # a NaN residual refines
                 break
             x += lu.solve(r)
+            solves += 1
         if repeated:
             break
         signs = tested
@@ -901,6 +919,9 @@ def time_step(state: StepState, stencil: ConvolutionStencil, sim: SimParams) -> 
         t=state.t + sim.dt,
         sweeps=sweeps,
         residual=max_residual,
+        factorizations=_sweep_factorization.cache_info().misses - misses,
+        solves=solves,
+        b_products=b_products,
     )
 
 

@@ -823,6 +823,11 @@ class TestCliPipeline:
         n_steps = micro_config.sim.n_steps
         assert len(summary["times"]) == n_steps + 1
         assert len(summary["mass_fraction"]) == n_steps + 1
+        # each time level's solver work, none at t = 0
+        sweeps, factorizations = summary["sweeps"], summary["factorizations"]
+        assert len(sweeps) == len(factorizations) == n_steps + 1
+        assert sweeps[0] == factorizations[0] == 0
+        assert all(s >= 1 and 0 <= f <= s for s, f in zip(sweeps[1:], factorizations[1:]))
 
     def test_theta_file_matches_stream(self, tmp_path, micro_config):
         # a theta file holding a stream's input runs the same simulation

@@ -10,7 +10,16 @@ import phaseuq
 import phaseuq.cli
 
 PACKAGE = Path(phaseuq.__file__).parent
-BENCH_LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_LAYERS = ROOT / "bench" / "layers.py"
+
+
+def load(path: Path):
+    """The script at ``path``, imported as a module."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_no_private_names_imported_across_modules():
@@ -34,9 +43,7 @@ def test_no_private_names_imported_across_modules():
 def test_bench_tracer_installs_and_restores():
     # `bench/run.py --trace 1` wraps package names by attribute (such as
     # cli.build_plan and solver.spla); a name that is gone fails here
-    spec = importlib.util.spec_from_file_location("bench_layers", BENCH_LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = load(BENCH_LAYERS)
     owners = (
         phaseuq.solver,
         phaseuq.grid,
@@ -55,3 +62,28 @@ def test_bench_tracer_installs_and_restores():
     finally:
         tracer.restore()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_solver_counts_tool_sums_the_states_work():
+    # tools/solver_counts.py reads each step's work from its state and the
+    # band sizes from a factor's attributes; a name that is gone fails here
+    tool = load(ROOT / "tools" / "solver_counts.py")
+    snapshot = load(ROOT / "tools" / "bench_snapshot.py")
+    config, solver = phaseuq.desk_config(), phaseuq.solver
+    theta = phaseuq.pilot_stream(config.master_seed).theta(0)
+    runs = [(config.model(8), theta), (config.model(9), theta)]
+    counts = tool.count(phaseuq, config, runs, config.sim.n_steps)
+    assert set(snapshot.SOLVER_COUNTS) <= set(counts)
+    states = []
+    solver._sweep_factorization.cache_clear()
+    for model, theta in runs:
+        stencil = solver.model_stencil(model, config.kernel_for(model))
+        solver.run_simulation(stencil.grid, stencil, theta, config.sim, on_step=states.append)
+    solver._sweep_factorization.cache_clear()
+    steps = [state for state in states if state.t > 0.0]
+    assert counts["steps"] == len(steps) == 2 * config.sim.n_steps
+    for name in tool.WORK:
+        assert counts[name] == sum(getattr(state, name) for state in steps) > 0
+    # desk models 8 and 9 (n=16) factor one band of 144 black nodes and bandwidth 17
+    assert counts["segments"] == {"BandCholesky": [[(17, 144)]], "BandLU": [[(17, 144)]]}
+    assert counts["factored_unknowns"] == 144 * counts["factorizations"]

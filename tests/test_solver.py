@@ -472,42 +472,32 @@ def model_operators(model_id: int, config=desk_config(), **sim_changes):
 
 
 class TestFactorizationReuse:
-    def run(self, monkeypatch, clear_every_step: bool):
+    def run(self, clear_every_step: bool):
+        """Every time step of desk model 9 at ``ASYM_THETA``."""
         st, sim, _ = model_operators(9)
-        factorize, masks = solver._factorize, []
-
-        def counting_factorize(plan, diagonal, free, *args):
-            masks.append(free.copy())
-            return factorize(plan, diagonal, free, *args)
-
-        monkeypatch.setattr(solver, "_factorize", counting_factorize)
         solver._sweep_factorization.cache_clear()
-        states, factorizations = [], []
+        states = []
 
         def record(state):
             states.append(state)
-            factorizations.append(len(masks))
             if clear_every_step:
                 solver._sweep_factorization.cache_clear()
 
         run_simulation(st.grid, st, ASYM_THETA, sim, on_step=record)
-        per_step = np.diff(factorizations)
-        return states, per_step, masks
+        return states[1:]
 
-    def test_step_boundary_reuses_the_last_factorization(self, monkeypatch):
-        states, per_step, masks = self.run(monkeypatch, clear_every_step=False)
-        sweeps = np.array([s.sweeps for s in states[1:]])
+    def test_step_boundary_reuses_the_last_factorization(self):
+        steps = self.run(clear_every_step=False)
+        sweeps = np.array([s.sweeps for s in steps])
+        factorizations = np.array([s.factorizations for s in steps])
         assert len(sweeps) == 10 and sweeps.sum() > len(sweeps)
-        assert per_step[0] == sweeps[0]
-        np.testing.assert_array_equal(per_step[1:], sweeps[1:] - 1)
-        # the sweep matrix of a model is fixed by its free set
-        for first, second in zip(masks, masks[1:]):
-            assert not np.array_equal(first, second)
+        assert factorizations[0] == sweeps[0]
+        np.testing.assert_array_equal(factorizations[1:], sweeps[1:] - 1)
 
-    def test_trajectory_unchanged_without_reuse(self, monkeypatch):
-        reused, _, _ = self.run(monkeypatch, clear_every_step=False)
-        fresh, per_step, _ = self.run(monkeypatch, clear_every_step=True)
-        np.testing.assert_array_equal(per_step, [s.sweeps for s in fresh[1:]])
+    def test_trajectory_unchanged_without_reuse(self):
+        reused = self.run(clear_every_step=False)
+        fresh = self.run(clear_every_step=True)
+        assert [s.factorizations for s in fresh] == [s.sweeps for s in fresh]
         assert len(reused) == len(fresh)
         for a, b in zip(reused, fresh):
             assert_same_step(a, b)
@@ -537,29 +527,6 @@ class CountedFactor:
 
 
 class TestSolveCount:
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = {"solves": 0, "b_products": 0, "miss": 0.0, "miss_at": 0}
-        factorize, matvec = solver._factorize, solver._matvec
-        step_matrices, b_ids = solver._step_matrices, set()
-
-        def recorded_step_matrices(*args):
-            operators = step_matrices(*args)
-            b_ids.add(id(operators[0]))
-            return operators
-
-        def counted_matvec(a, x):
-            counts["b_products"] += id(a) in b_ids
-            return matvec(a, x)
-
-        monkeypatch.setattr(solver, "_factorize",
-                            lambda *args: CountedFactor(factorize(*args), counts))
-        monkeypatch.setattr(solver, "_step_matrices", recorded_step_matrices)
-        monkeypatch.setattr(solver, "_matvec", counted_matvec)
-        solver._sweep_factorization.cache_clear()
-        yield counts
-        solver._sweep_factorization.cache_clear()
-
     @staticmethod
     def desk_steps():
         """Every time step of the nine desk models at ``ASYM_THETA``."""
@@ -569,36 +536,40 @@ class TestSolveCount:
             run_simulation(st.grid, st, ASYM_THETA, config.sim, on_step=states.append)
         return [state for state in states if state.t > 0.0]
 
-    def test_one_solve_per_sweep(self, counts):
-        sweeps = [state.sweeps for state in self.desk_steps()]
-        assert sum(sweeps) > len(sweeps)
-        assert counts["solves"] == sum(sweeps)
+    def test_one_solve_per_sweep(self):
+        steps = self.desk_steps()
+        assert sum(state.sweeps for state in steps) > len(steps)
+        assert [state.solves for state in steps] == [state.sweeps for state in steps]
 
-    def test_one_b_product_per_sweep(self, counts):
+    def test_one_b_product_per_sweep(self):
         # rhs0 once per step, r(pinned, 0) once per sweep, and r(u, lam) once
         # more in the sweep that repeats its active sets and accepts the step
         steps = self.desk_steps()
-        sweeps = sum(state.sweeps for state in steps)
-        assert sweeps > len(steps)
-        assert counts["b_products"] == len(steps) + sweeps + len(steps)
+        assert sum(state.sweeps for state in steps) > len(steps)
+        assert [state.b_products for state in steps] == [state.sweeps + 2 for state in steps]
 
     @pytest.mark.parametrize("model_id", [8, 9], ids=["cholesky", "lu"])
-    def test_missed_residual_takes_one_refinement(self, counts, model_id):
+    def test_missed_residual_takes_one_refinement(self, monkeypatch, model_id):
         # Each solve of the step in turn is off by 1e-6.  A miss in a sweep
         # whose sets change is never checked and leaves the step as it was;
         # only the last sweep's miss costs one refinement.
         st, sim, _ = model_operators(model_id)
         prev = initial_state(st.grid, ASYM_THETA, sim)
         exact = time_step(prev, st, sim)
-        assert exact.sweeps > 1 and counts["solves"] == exact.sweeps
-        counts["miss"] = 1e-6
+        assert exact.sweeps > 1 and exact.solves == exact.sweeps
+        counts = {"solves": 0, "miss": 1e-6}
+        factorize = solver._factorize
+        monkeypatch.setattr(solver, "_factorize",
+                            lambda *args: CountedFactor(factorize(*args), counts))
+        solver._sweep_factorization.cache_clear()
         for miss_at in range(exact.sweeps):
             counts["solves"], counts["miss_at"] = 0, miss_at
             state = time_step(prev, st, sim)
             if miss_at < exact.sweeps - 1:
-                assert counts["solves"] == exact.sweeps
                 assert_same_step(state, exact)
-        assert counts["solves"] == state.sweeps + 1
+                assert (state.solves, state.b_products) == (exact.solves, exact.b_products)
+        solver._sweep_factorization.cache_clear()
+        assert state.solves == state.sweeps + 1
         assert state.residual <= sim.solver_tol
 
         u, u_prev, lam = state.solution.ravel(), prev.solution.ravel(), state.multiplier
@@ -615,6 +586,57 @@ class TestSolveCount:
         assert np.abs(residual).max() <= sim.solver_tol
         collar = ~st.grid.solution_mask()
         np.testing.assert_array_equal(state.padded[collar], prev.padded[collar])
+
+    def test_states_count_what_wrappers_count(self, monkeypatch):
+        # The one test that counts the solver's work from outside, by wrapping
+        # solver._factorize (once per factorization, a regularized one
+        # included) and solver._matvec (the products by B), as the reference
+        # for the work that each step reports in its state.
+        work = ("factorizations", "solves", "b_products")
+        counts = dict.fromkeys(work, 0) | {"b": None, "miss": 1e-6, "miss_at": -1}
+        factorize, matvec = solver._factorize, solver._matvec
+
+        def counted_factorize(*args):
+            counts["factorizations"] += 1
+            return CountedFactor(factorize(*args), counts)
+
+        def counted_matvec(a, x):
+            counts["b_products"] += a is counts["b"]
+            return matvec(a, x)
+
+        def step(state, st, sim, key):
+            counts["b"], before = solver._step_matrices(*key)[0], [counts[n] for n in work]
+            state = time_step(state, st, sim)
+            assert [getattr(state, n) for n in work] == [counts[n] - b for n, b in zip(work, before)]
+            return state
+
+        monkeypatch.setattr(solver, "_factorize", counted_factorize)
+        monkeypatch.setattr(solver, "_matvec", counted_matvec)
+        solver._sweep_factorization.cache_clear()
+        try:
+            for model in desk_config().models:  # model 9 takes band LU, the others band Cholesky
+                st, sim, key = model_operators(model.model_id)
+                states = [initial_state(st.grid, ASYM_THETA, sim)]
+                for _ in range(sim.n_steps):
+                    states.append(step(states[-1], st, sim, key))
+                # the second step again from an empty cache: its first sweep factorizes too
+                solver._sweep_factorization.cache_clear()
+                exact = step(states[1], st, sim, key)
+                assert exact.factorizations == exact.sweeps
+                # ... and with its last solve off by 1e-6: one more solve and product by B
+                counts["miss_at"] = counts["solves"] + exact.sweeps - 1
+                missed = step(states[1], st, sim, key)
+                assert (missed.sweeps, missed.solves, missed.b_products) == (
+                    exact.sweeps, exact.solves + 1, exact.b_products + 1)
+            # B with beta1 = 0 is singular, and so is the sweep matrix of a pure
+            # +1 state, whose nodes are all active: it is factored twice.
+            st, sim, key = model_operators(8, beta1=0.0)
+            recorder = RecordingLapack()
+            monkeypatch.setattr(solver, "lapack", recorder)
+            assert step(pure_state(st.grid, 1.0), st, sim, key).factorizations == 1
+            assert len(recorder.bands) == 2
+        finally:
+            solver._sweep_factorization.cache_clear()
 
 
 OPERATOR_DETAILS = {

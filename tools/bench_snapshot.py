@@ -6,8 +6,8 @@ Runs ``bench/run.py`` of a checkout untraced for every workload named in its
 0 (``bench/layers.py`` counts ``splu`` calls, which the solver no longer
 makes), so it also runs ``tools/solver_counts.py`` of this repository on the
 checkout for the factorization, sweep, solve and ``B``-product counts and the
-factored band sizes (which it can count only on a checkout whose solver
-makes its sparse products through ``solver._matvec``).  It writes the
+factored band sizes (which it can count only on a checkout whose step states
+carry those counts).  It writes the
 medians, the counters, the versions and the exact commands (the bench's run
 in the checkout's root, the counts' in this repository's) to
 ``BENCH_<label>.json`` at the root of the repository holding this script::
@@ -16,7 +16,7 @@ in the checkout's root, the counts' in this repository's) to
     python3 tools/bench_snapshot.py --label before --repo ../checkout-of-parent
 
 Each run takes the benchmark's own ``run_seconds``, so three workloads over
-three seeds take about eight minutes, and the counts about 10 s more.
+three seeds take about eight minutes, and the counts a few seconds more.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def bench(repo: Path, commands: list[str], workload: str, seed: int, seconds: fl
 def solver_counts(repo: Path, commands: list[str], seed: int) -> dict:
     """The :data:`SOLVER_COUNTS` of both serial round sets of ``repo``."""
     argv = [sys.executable, "tools/solver_counts.py", "--repo", os.path.relpath(repo, ROOT),
-            "--seed", str(seed), "--repeats", "0"]
+            "--seed", str(seed)]
     commands.append(" ".join(["python3", *argv[1:]]))
     print(f"[{len(commands)}] {commands[-1]}", file=sys.stderr, flush=True)
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
